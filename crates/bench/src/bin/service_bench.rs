@@ -1,5 +1,5 @@
 //! Seeded open-/closed-loop traffic against the multi-tenant query
-//! service, emitting `BENCH_service.json`.
+//! service, emitting `BENCH_service_t{N}.json` (one file per `--threads N`).
 //!
 //! Usage: `service_bench [--smoke] [--threads N] [--seed S]`. Measures an
 //! uncontended closed-loop baseline, then an open-loop overload storm
@@ -59,10 +59,9 @@ fn main() {
     print!("{}", service::render(&report));
 
     let json = service::to_json(&report);
-    let per_thread = format!("BENCH_service_t{threads}.json");
-    std::fs::write(&per_thread, &json).expect("write service report");
-    std::fs::write("BENCH_service.json", &json).expect("write service report");
-    println!("wrote {per_thread} and BENCH_service.json");
+    let path = format!("BENCH_service_t{threads}.json");
+    std::fs::write(&path, &json).expect("write service report");
+    println!("wrote {path}");
 
     if !report.gate_ok() {
         eprintln!("FAIL: shed-not-collapse gate violated");

@@ -29,7 +29,7 @@
 //!   `BENCH_chaos.json`;
 //! * `service_bench` — open-/closed-loop seeded traffic against the
 //!   multi-tenant query service (admission control, load shedding,
-//!   graceful degradation), emitting `BENCH_service.json`;
+//!   graceful degradation), emitting `BENCH_service_t{N}.json`;
 //! * `locality` (via `kernels_tier --regions R`) — measured blind-vs-
 //!   sharded comparison of the locality-aware partitioned data plane,
 //!   emitting `BENCH_locality.json`.

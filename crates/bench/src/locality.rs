@@ -6,8 +6,9 @@
 //! executor: each program is analyzed once, the exported access plan
 //! ([`dmll_analysis::ProgramPlan`]) drives per-collection placement, tasks
 //! carry a home region from the block-aligned [`dmll_runtime::RegionMap`],
-//! workers steal within their region before crossing, and per-task bucket
-//! accumulators are stitched once at merge instead of pairwise-folded.
+//! workers steal within their region before crossing, and exactly
+//! associative loops regroup onto one task per region. (Both sides join
+//! task accumulators through the same stitch merge.)
 //! Outputs must be bit-identical to the blind path *and* to the
 //! tree-walking tier over the same chunked executor, and every stencil
 //! fallback must be explained by a partitioning warning — both are hard

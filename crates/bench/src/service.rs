@@ -1,5 +1,5 @@
 //! Service bench: seeded open-/closed-loop traffic against the
-//! multi-tenant query service, emitting `BENCH_service.json`.
+//! multi-tenant query service, emitting `BENCH_service_t{N}.json`.
 //!
 //! Three phases, one service instance:
 //!
@@ -427,7 +427,7 @@ pub fn render(r: &ServiceBenchReport) -> String {
     out
 }
 
-/// Serialize the report as the `BENCH_service.json` document.
+/// Serialize the report as the `BENCH_service_t{N}.json` document.
 pub fn to_json(r: &ServiceBenchReport) -> String {
     let mut out = String::from("{\n  \"experiment\": \"service\",\n");
     let _ = writeln!(out, "  \"workers\": {},", r.workers);

@@ -452,7 +452,7 @@ fn run_case(mut case: Workload, threads: usize, regions: usize, fuse: bool, nati
         &borrowed,
         Tier::Batched,
         threads,
-        sharding,
+        sharding.clone(),
         hook,
         &case.externs,
     );
@@ -509,9 +509,12 @@ fn run_case(mut case: Workload, threads: usize, regions: usize, fuse: bool, nati
     // gap is pure run-to-run timing noise. Re-measure both sides in
     // pairs until the minima agree within the smoke gate's 0.98x bound
     // or the retry budget runs out — keeping the zero-rewrite gate
-    // meaningful on noisy runners without loosening it.
+    // meaningful on noisy runners without loosening it. With `regions`
+    // the fused side is the sharded plane over the same loops, so the
+    // same gate reads "sharded is not slower than blind" and gets the
+    // same paired re-measurement.
     let mut batched_secs = batched_secs;
-    if hook && fuse_report.applied_total() == 0 {
+    if fuse && fuse_report.applied_total() == 0 {
         for retry in 0..6 {
             if unfused_secs >= 0.98 * batched_secs {
                 break;
@@ -525,7 +528,7 @@ fn run_case(mut case: Workload, threads: usize, regions: usize, fuse: bool, nati
                     &borrowed,
                     Tier::Batched,
                     threads,
-                    None,
+                    sharding.clone(),
                     hook,
                     &case.externs,
                 )

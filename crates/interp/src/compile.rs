@@ -54,7 +54,7 @@ use dmll_core::visit::free_syms;
 use dmll_core::{Block, Const, Def, Exp, Gen, MathFn, Multiloop, PrimOp, Program, StructTy, Sym, Ty};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -611,12 +611,40 @@ impl RedBuf {
     }
 }
 
+/// Multiplicative hasher for the typed bucket-key index: SipHash on every
+/// key of every task was a fixed cost comparable to a small grouped query's
+/// compute. The map's iteration order is never observed (first-seen order
+/// lives in `keys`). Unlike SipHash it is invertible, so a key set built to
+/// collide makes one task's index quadratic — a trade-off DESIGN §12
+/// records for the multi-tenant service.
+#[derive(Default)]
+pub(crate) struct I64Hasher(u64);
+
+impl Hasher for I64Hasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the typed key index hashes only i64 keys");
+    }
+
+    fn write_i64(&mut self, k: i64) {
+        // Fold the well-mixed high half into the low bits the table indexes
+        // by, so strided keys (multiples of a power of two) still spread.
+        let h = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+pub(crate) type I64Index = HashMap<i64, usize, BuildHasherDefault<I64Hasher>>;
+
 /// First-seen-order bucket key directory, with an unboxed `i64` fast path.
 #[derive(Debug)]
 pub(crate) enum KeyIx {
     I {
         keys: Vec<i64>,
-        ix: HashMap<i64, usize>,
+        ix: I64Index,
     },
     V {
         keys: Vec<Value>,
@@ -629,7 +657,7 @@ impl KeyIx {
         if typed {
             KeyIx::I {
                 keys: Vec::new(),
-                ix: HashMap::new(),
+                ix: I64Index::default(),
             }
         } else {
             KeyIx::V {
@@ -1082,13 +1110,7 @@ impl Kernel {
         })
     }
 
-    pub(crate) fn merge(
-        &self,
-        gi: usize,
-        a: KAcc,
-        b: KAcc,
-        st: &mut KState,
-    ) -> Result<KAcc, EvalError> {
+    fn merge(&self, gi: usize, a: KAcc, b: KAcc, st: &mut KState) -> Result<KAcc, EvalError> {
         let gen = &self.gens[gi];
         Ok(match (a, b) {
             (KAcc::Col(mut x), KAcc::Col(y)) => {
@@ -1165,7 +1187,8 @@ impl Kernel {
     }
 
     /// Merge all task accumulators for generator `gi` in one pass, in task
-    /// order — the sharded data plane's "stitch once at merge, by task id".
+    /// order — "stitch once at merge, by task id", the parallel executor's
+    /// only merge on both the blind and the sharded plane.
     ///
     /// Bit-identical to folding [`Kernel::merge`] pairwise over the same
     /// sequence: both visit tasks in task order and keys in first-seen
@@ -1302,8 +1325,8 @@ impl Kernel {
         Ok(out)
     }
 
-    /// Fold [`Kernel::merge`] over the task accumulators in task order (the
-    /// locality-blind merge, and the stitch's fallback).
+    /// Fold [`Kernel::merge`] over the task accumulators in task order: the
+    /// stitch's path for everything but dense typed-key buckets.
     fn stitch_pairwise(
         &self,
         gi: usize,

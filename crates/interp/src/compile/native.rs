@@ -27,7 +27,6 @@ use dmll_codegen::{
 };
 use dmll_core::gen::GenKind;
 use dmll_core::{Multiloop, Sym};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Symbol name of the emitted entry point. Fixed across kernels: each
@@ -320,8 +319,7 @@ impl Kernel {
                     table: _table,
                 } => {
                     unsafe { keys.set_len(count.min(keys.capacity())) };
-                    let ix: HashMap<i64, usize> =
-                        keys.iter().enumerate().map(|(s, k)| (*k, s)).collect();
+                    let ix = keys.iter().enumerate().map(|(s, k)| (*k, s)).collect();
                     KAcc::BRed {
                         keys: KeyIx::I { keys, ix },
                         vals: vals.adopt_red(count),

@@ -196,9 +196,8 @@ pub struct ParallelOptions {
     /// round-robin and any victim is fair game for stealing. `>= 1`
     /// enables sharded execution on the compiled tier: tasks carry a home
     /// region derived from [`RegionMap`], workers pop local tasks first
-    /// and steal within their region before crossing, and per-task bucket
-    /// accumulators are stitched once at merge (by task id) instead of
-    /// pairwise-folded.
+    /// and steal within their region before crossing. (The merge is the
+    /// same stitch, once per generator by task id, on both paths.)
     pub regions: usize,
     /// Per-program access plan from the §4 analyses ([`ProgramPlan`]).
     /// When set alongside `regions >= 1`, each loop's stencil-driven
@@ -1203,66 +1202,67 @@ fn run_stealing<A: Send, S: Send>(
         speculative: AtomicUsize::new(0),
         spec_wins: AtomicUsize::new(0),
     };
+    let worker = |w: usize, st: &mut S| loop {
+        if shared.stop_flag.load(Ordering::Acquire) || shared.all_done.load(Ordering::Acquire) {
+            break;
+        }
+        if let Some(sup) = supervisor {
+            if let Some(reason) = sup.check() {
+                shared.request_stop(reason);
+                break;
+            }
+            // Worker 0 is the designated survivor: it never parks, so the
+            // pool always drains even when every other breaker is open.
+            if w != 0 && sup.quarantine().is_quarantined(w) {
+                std::thread::sleep(PARK);
+                continue;
+            }
+        }
+        let job = if let Some(t) = shared.queues.own(w) {
+            Some(Job::Fresh {
+                task: t,
+                stolen: false,
+            })
+        } else if let Some((t, crosses)) = shared.queues.steal(w) {
+            if crosses {
+                shared.cross_steals.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(Job::Fresh {
+                task: t,
+                stolen: true,
+            })
+        } else {
+            supervisor.and_then(|sup| shared.find_straggler(sup))
+        };
+        match job {
+            Some(job) => run_job(w, st, job, &shared, supervisor, exec),
+            None => {
+                // Nothing queued, nothing stealable, nothing speculatable.
+                // Unsupervised workers are done; supervised ones park
+                // until the stragglers resolve (a task may yet become
+                // speculatable, and stop conditions still need polling).
+                match supervisor {
+                    Some(sup) if sup.policy().speculation.enabled => std::thread::sleep(PARK),
+                    _ => break,
+                }
+            }
+        }
+    };
+    // Worker 0 is the calling thread: a one-worker round spawns nothing,
+    // and an N-worker round spawns N-1. It keeps the spawned workers'
+    // isolation: a panic outside the per-task `catch_unwind` ends the
+    // worker, not the caller, and its unreported tasks come back `None`.
+    let (caller, spawned) = states
+        .split_first_mut()
+        .expect("a round has at least one worker");
     std::thread::scope(|scope| {
-        let shared = &shared;
-        let handles: Vec<_> = states
+        let worker = &worker;
+        let handles: Vec<_> = spawned
             .iter_mut()
             .enumerate()
-            .map(|(w, st)| {
-                scope.spawn(move || loop {
-                    if shared.stop_flag.load(Ordering::Acquire)
-                        || shared.all_done.load(Ordering::Acquire)
-                    {
-                        break;
-                    }
-                    if let Some(sup) = supervisor {
-                        if let Some(reason) = sup.check() {
-                            shared.request_stop(reason);
-                            break;
-                        }
-                        // Worker 0 is the designated survivor: it never
-                        // parks, so the pool always drains even when every
-                        // other breaker is open.
-                        if w != 0 && sup.quarantine().is_quarantined(w) {
-                            std::thread::sleep(PARK);
-                            continue;
-                        }
-                    }
-                    let job = if let Some(t) = shared.queues.own(w) {
-                        Some(Job::Fresh {
-                            task: t,
-                            stolen: false,
-                        })
-                    } else if let Some((t, crosses)) = shared.queues.steal(w) {
-                        if crosses {
-                            shared.cross_steals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Some(Job::Fresh {
-                            task: t,
-                            stolen: true,
-                        })
-                    } else {
-                        supervisor.and_then(|sup| shared.find_straggler(sup))
-                    };
-                    match job {
-                        Some(job) => run_job(w, st, job, shared, supervisor, exec),
-                        None => {
-                            // Nothing queued, nothing stealable, nothing
-                            // speculatable. Unsupervised workers are done;
-                            // supervised ones park until the stragglers
-                            // resolve (a task may yet become speculatable,
-                            // and stop conditions still need polling).
-                            match supervisor {
-                                Some(sup) if sup.policy().speculation.enabled => {
-                                    std::thread::sleep(PARK)
-                                }
-                                _ => break,
-                            }
-                        }
-                    }
-                })
-            })
+            .map(|(i, st)| scope.spawn(move || worker(i + 1, st)))
             .collect();
+        let _ = catch_unwind(AssertUnwindSafe(|| worker(0, caller)));
         for h in handles {
             let _ = h.join();
         }
@@ -1679,47 +1679,29 @@ fn run_chunked_kernel(
         )
     })?;
 
-    // Merge in chunk order on a coordinator state (reducer blocks execute
-    // as bytecode too), then seal each generator's accumulator. The
-    // sharded plane stitches each generator's per-task accumulators once,
-    // by task id (dense slot directory for integer bucket keys); the
-    // blind plane folds them pairwise. Both apply the same reducer calls
-    // to the same operands in the same order, so outputs are
-    // bit-identical across planes.
+    // Merge on a coordinator state (reducer blocks execute as bytecode
+    // too), then seal each generator's accumulator. Both planes stitch
+    // each generator's per-task accumulators once, by task id: the same
+    // reducer calls on the same operands in the same order as a pairwise
+    // fold in chunk order, so outputs are bit-identical across planes.
     let mut st = kernel.new_state(env, externs)?;
     let n_gens = kernel.gens.len();
+    let mut per_gen: Vec<Vec<KAcc>> = (0..n_gens)
+        .map(|_| Vec::with_capacity(per_chunk.len()))
+        .collect();
+    for chunk_accs in per_chunk {
+        for (gi, acc) in chunk_accs.into_iter().enumerate() {
+            per_gen[gi].push(acc);
+        }
+    }
     let mut outputs = Vec::with_capacity(n_gens);
-    if sharded {
-        let mut per_gen: Vec<Vec<KAcc>> = (0..n_gens)
-            .map(|_| Vec::with_capacity(per_chunk.len()))
-            .collect();
-        for chunk_accs in per_chunk {
-            for (gi, acc) in chunk_accs.into_iter().enumerate() {
-                per_gen[gi].push(acc);
-            }
-        }
-        for (gi, accs) in per_gen.into_iter().enumerate() {
-            let acc = if accs.is_empty() {
-                KAcc::for_gen(&kernel.gens[gi], 0)
-            } else {
-                kernel.stitch(gi, accs, &mut st)?
-            };
-            outputs.push(kernel.seal_gen_value(gi, acc, &mut st)?);
-        }
-    } else {
-        let mut merged: Vec<Option<KAcc>> = (0..n_gens).map(|_| None).collect();
-        for chunk_accs in per_chunk {
-            for (gi, acc) in chunk_accs.into_iter().enumerate() {
-                merged[gi] = Some(match merged[gi].take() {
-                    None => acc,
-                    Some(m) => kernel.merge(gi, m, acc, &mut st)?,
-                });
-            }
-        }
-        for (gi, m) in merged.into_iter().enumerate() {
-            let acc = m.unwrap_or_else(|| KAcc::for_gen(&kernel.gens[gi], 0));
-            outputs.push(kernel.seal_gen_value(gi, acc, &mut st)?);
-        }
+    for (gi, accs) in per_gen.into_iter().enumerate() {
+        let acc = if accs.is_empty() {
+            KAcc::for_gen(&kernel.gens[gi], 0)
+        } else {
+            kernel.stitch(gi, accs, &mut st)?
+        };
+        outputs.push(kernel.seal_gen_value(gi, acc, &mut st)?);
     }
     Ok(outputs)
 }

@@ -344,7 +344,7 @@ pub struct TierTotals {
     /// Supervised runs aborted by cancellation.
     pub cancelled_aborts: u64,
     /// Loop executions scheduled by the partitioned data plane (tasks had
-    /// home regions; bucket merges used the region stitch).
+    /// home regions).
     pub sharded_loops: u64,
     /// Per-loop collection reads served from the shared path because their
     /// stencil was `Unknown` (§4.2's "fall back to runtime data movement").

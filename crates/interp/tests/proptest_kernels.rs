@@ -56,6 +56,22 @@ fn assert_three_tiers_identical(
     Ok(())
 }
 
+/// `(stride, offset)` applied to `e % m` to shape a bucket key: dense and
+/// small; negative; strided so the key span exceeds the stitch's
+/// `4 x total + 1024` density bound (pairwise fallback) with keys on both
+/// sides of zero and of the batch tier's `DENSE_KEY_CAP` (2^20); dense but
+/// entirely above that cap.
+const KEY_SHAPES: [(i64, i64); 4] = [(1, 0), (1, -5), (1_000_003, -2_000_006), (1, (1 << 20) + 3)];
+
+fn shaped_key(st: &mut Stage, e: &Val, modulus: i64, (stride, offset): (i64, i64)) -> Val {
+    let m = st.lit_i(modulus);
+    let r = st.rem(e, &m);
+    let s = st.lit_i(stride);
+    let scaled = st.mul(&r, &s);
+    let o = st.lit_i(offset);
+    st.add(&scaled, &o)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -445,47 +461,75 @@ proptest! {
 // chunk faults. Exact-associative (all-integer) programs additionally
 // exercise the region-granular task path.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // 4 key shapes x 5 thread counts to cover, this test only.
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// All four generator kinds in one program, float and int outputs,
     /// random region counts and chunk faults: sharded == blind == chunked
-    /// tree-walker, bit-for-bit. The float Reduce keeps the loop on blind
-    /// task granularity, so this pins the stitch merge + region-aware
-    /// stealing, not task regrouping.
+    /// tree-walker, bit-for-bit, from one thread (tasks on the caller) up.
+    /// Both planes join task accumulators through the same stitch, so the
+    /// key shapes walk its branches: the dense slot table (with a negative
+    /// and a `>= DENSE_KEY_CAP` base), the sparse pairwise fallback, the
+    /// native int and float reducers, a block reducer, and BucketCollect.
+    /// The float and block reducers keep their loops on blind task
+    /// granularity, so this pins the merge and region-aware stealing; the
+    /// regrouped integer loops are exact.
     #[test]
     fn sharded_plane_matches_blind_and_treewalk(
         data in prop::collection::vec(0i64..3000, 1500..4000),
-        threads in 2usize..6,
+        threads in 1usize..6,
         regions in 1usize..5,
+        key_shape in 0usize..KEY_SHAPES.len(),
         fail_a in 0usize..6,
         fail_b in 0usize..6,
         panicking in any::<bool>(),
     ) {
+        let shape = KEY_SHAPES[key_shape];
         let mut st = Stage::new();
         let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
-        let scaled = st.map(&x, |st, e| {
+        let third = |st: &mut Stage, e: &Val| {
             let ef = st.i2f(e);
             let c = st.lit_f(3.0);
             st.div(&ef, &c)
-        });
+        };
+        let scaled = st.map(&x, third);
         let total = st.sum(&scaled);
-        let m = st.lit_i(7);
         let zero = st.lit_i(0);
         let counts = st.group_by_reduce(
             &x,
-            move |st, e| st.rem(e, &m),
+            |st, e| shaped_key(st, e, 7, shape),
             |st, _e| st.lit_i(1),
             |st, a, b| st.add(a, b),
             Some(&zero),
         );
-        let groups = st.group_by(&x, |st, e| {
-            let m = st.lit_i(3);
-            st.rem(e, &m)
-        });
-        let ckeys = st.bucket_keys(&counts);
-        let cvals = st.bucket_values(&counts);
-        let gkeys = st.bucket_keys(&groups);
-        let out = st.tuple(&[&total, &ckeys, &cvals, &gkeys]);
+        let fsums = st.group_by_reduce(
+            &x,
+            |st, e| shaped_key(st, e, 5, shape),
+            third,
+            |st, a, b| st.add(a, b),
+            None,
+        );
+        // Two instructions, so not a recognized native reducer: merges
+        // run the reducer block, and the fold is order-sensitive.
+        let mixed = st.group_by_reduce(
+            &x,
+            |st, e| shaped_key(st, e, 4, shape),
+            |_st, e| e.clone(),
+            |st, a, b| {
+                let s = st.add(a, b);
+                let m = st.lit_i(1_000_003);
+                st.rem(&s, &m)
+            },
+            None,
+        );
+        let groups = st.group_by(&x, |st, e| shaped_key(st, e, 3, shape));
+        let outs: Vec<Val> = [&counts, &fsums, &mixed, &groups]
+            .into_iter()
+            .flat_map(|b| [st.bucket_keys(b), st.bucket_values(b)])
+            .collect();
+        let mut fields = vec![&total];
+        fields.extend(&outs);
+        let out = st.tuple(&fields);
         let mut p = st.finish(&out);
 
         let plan = std::sync::Arc::new(dmll_analysis::export_plan(&dmll_analysis::analyze(&mut p)));
@@ -512,6 +556,10 @@ proptest! {
         let (walked, _) = eval_parallel_report(&p, &inputs, &walk_opts).unwrap();
         prop_assert_eq!(sharded, walked, "sharded vs chunked tree-walker");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// All-integer program (every reduce is a recognized wrapping int op):
     /// the sharded plane regroups the loop onto region-granular tasks, and

@@ -5,10 +5,14 @@
 use dmll_core::{LayoutHint, Ty};
 use dmll_frontend::Stage;
 use dmll_interp::{
-    eval_parallel, eval_parallel_supervised, ChunkFaults, ExecError, ParallelOptions, Value,
+    eval_parallel, eval_parallel_supervised, ChunkFaults, ExecError, Externs, ParallelOptions,
+    Value,
 };
 use dmll_runtime::{QuarantinePolicy, SpeculationPolicy, Supervisor, SupervisorPolicy};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Sum of squares: one Collect + one Reduce loop, exact over i64.
@@ -113,7 +117,9 @@ proptest! {
     }
 
     /// A deadline below the workload's runtime aborts within one task
-    /// granularity: with every task delayed ~2ms, the run returns a typed
+    /// granularity: with every task delayed 4ms (one worker's five tasks
+    /// then outlast the longest deadline by two tasks even when compute
+    /// is free, as in a release build), the run returns a typed
     /// `Deadline` carrying a partial report, leaves most tasks unexecuted,
     /// and drains in far less time than running everything would take.
     #[test]
@@ -126,7 +132,7 @@ proptest! {
         let inputs = [("x", Value::i64_arr(data))];
         let mut faults = ChunkFaults::default();
         for ci in 0..64 {
-            faults = faults.and_delay(ci, Duration::from_millis(2));
+            faults = faults.and_delay(ci, Duration::from_millis(4));
         }
         let sup = Supervisor::new(SupervisorPolicy {
             deadline: Some(Duration::from_millis(deadline_ms)),
@@ -139,7 +145,7 @@ proptest! {
         let t0 = Instant::now();
         match eval_parallel_supervised(&program, &inputs, &opts) {
             Err(ExecError::Deadline { partial, elapsed, .. }) => {
-                // ~40 tasks at 2ms each per loop would be >= 25ms even on
+                // ~40 tasks at 4ms each per loop would be >= 50ms even on
                 // 3 workers; the drain bound is deadline + one in-flight
                 // task per worker (plus scheduling noise, hence the slack).
                 prop_assert!(
@@ -241,4 +247,126 @@ proptest! {
         prop_assert_eq!(value, baseline);
         prop_assert!(report.reexecuted_chunks <= killed.len());
     }
+}
+
+// Worker 0 of every stealing round is the calling thread. The tests below
+// observe where tasks run through an extern in the loop body that records
+// the executing thread, and check the supervised contract on that thread.
+
+/// `x.map(e => here(e))`: one Collect loop whose value block calls the
+/// identity extern `here` once per element.
+fn thread_recording_map() -> dmll_core::Program {
+    let mut st = Stage::new();
+    let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
+    let ys = st.map(&x, |st, e| {
+        st.extern_call("here", &[e], Ty::I64, false, true)
+    });
+    st.finish(&ys)
+}
+
+/// Shared record of the threads that executed `here`.
+type Seen = Arc<(Mutex<HashSet<ThreadId>>, Condvar)>;
+
+/// `here` registered to record its thread; a thread's first call waits (up
+/// to 10 s, so a wrong worker count fails the assertion instead of hanging)
+/// until `rendezvous` distinct threads have arrived, which forces that many
+/// workers to each hold a task at the same time.
+fn recording_externs(rendezvous: usize) -> (Externs, Seen) {
+    let seen: Seen = Arc::new((Mutex::new(HashSet::new()), Condvar::new()));
+    let mut externs = Externs::new();
+    let rec = seen.clone();
+    externs.insert("here", move |args| {
+        let (ids, arrived) = &*rec;
+        let mut ids = ids.lock().unwrap();
+        if ids.insert(std::thread::current().id()) {
+            arrived.notify_all();
+            let _ = arrived
+                .wait_timeout_while(ids, Duration::from_secs(10), |ids| ids.len() < rendezvous)
+                .unwrap();
+        }
+        Ok(args[0].clone())
+    });
+    (externs, seen)
+}
+
+fn seen_threads(seen: &Seen) -> HashSet<ThreadId> {
+    seen.0.lock().unwrap().clone()
+}
+
+#[test]
+fn one_thread_supervised_run_stays_on_the_caller() {
+    let program = thread_recording_map();
+    let data: Vec<i64> = (0..4000).collect();
+    let inputs = [("x", Value::i64_arr(data.clone()))];
+    let me = HashSet::from([std::thread::current().id()]);
+    let supervised = |faults: ChunkFaults, policy: SupervisorPolicy| {
+        let (externs, seen) = recording_externs(1);
+        let opts = ParallelOptions::new(1)
+            .with_externs(externs)
+            .with_faults(faults)
+            .supervised(Supervisor::new(policy));
+        (eval_parallel_supervised(&program, &inputs, &opts), seen)
+    };
+
+    // Several tasks, every one of them on this thread.
+    let (clean, seen) = supervised(ChunkFaults::default(), SupervisorPolicy::default());
+    let (value, report) = clean.unwrap();
+    assert_eq!(value, Value::i64_arr(data.clone()));
+    assert!(report.chunk_executions >= 2, "one task only: {report:?}");
+    assert_eq!(seen_threads(&seen), me);
+
+    // Panicking tasks are caught per task: the caller is not unwound, the
+    // chunks are re-executed, and the output is unchanged.
+    let (recovered, seen) = supervised(
+        ChunkFaults::fail_once([0, 1]).panicking(),
+        SupervisorPolicy::default(),
+    );
+    let (value, report) = recovered.unwrap();
+    assert_eq!(value, Value::i64_arr(data));
+    assert_eq!(report.reexecuted_chunks, 2, "{report:?}");
+    assert_eq!(seen_threads(&seen), me);
+
+    // The caller polls the deadline between its own tasks: every task
+    // sleeps 3 ms against a 5 ms deadline, so the run stops part-way and
+    // the typed error carries what had run.
+    let mut delays = ChunkFaults::default();
+    for ci in 0..64 {
+        delays = delays.and_delay(ci, Duration::from_millis(3));
+    }
+    let (aborted, seen) = supervised(
+        delays,
+        SupervisorPolicy {
+            deadline: Some(Duration::from_millis(5)),
+            speculation: SpeculationPolicy::disabled(),
+            ..SupervisorPolicy::default()
+        },
+    );
+    match aborted {
+        Err(ExecError::Deadline { partial, .. }) => {
+            assert!(
+                partial.chunk_executions < report.chunk_executions,
+                "stopped part-way: {partial:?}"
+            );
+        }
+        other => panic!("expected Deadline, got {other:?}"),
+    }
+    assert!(seen_threads(&seen).is_subset(&me));
+}
+
+#[test]
+fn four_thread_round_is_the_caller_plus_three_spawned() {
+    let program = thread_recording_map();
+    let data: Vec<i64> = (0..4000).collect();
+    let inputs = [("x", Value::i64_arr(data.clone()))];
+    let (externs, seen) = recording_externs(4);
+    let opts = ParallelOptions::new(4)
+        .with_externs(externs)
+        .supervised(Supervisor::new(SupervisorPolicy::default()));
+    let (value, _) = eval_parallel_supervised(&program, &inputs, &opts).unwrap();
+    assert_eq!(value, Value::i64_arr(data));
+    // Four threads held a task at once (the rendezvous), and no fifth ever
+    // ran one: with the caller among them, exactly three were spawned.
+    let ids = seen_threads(&seen);
+    assert_eq!(ids.len(), 4, "{ids:?}");
+    assert!(ids.contains(&std::thread::current().id()), "{ids:?}");
 }
