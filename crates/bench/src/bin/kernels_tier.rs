@@ -25,7 +25,10 @@
 //! tier (beyond a small timing-noise allowance), if Q1's fused path is
 //! slower than its unfused baseline beyond the same allowance, if an app
 //! with zero applied rewrites pays more than the identity fast-path for
-//! the fusion round-trip, or — with `--regions` — if the sharded plane's
+//! the fusion round-trip, if LogReg or k-means — the apps whose generators
+//! yield whole vectors — record a `boxed_gen_result` decline or
+//! (sequentially) run fewer full blocks than their row-long loops hold,
+//! or — with `--regions` — if the sharded plane's
 //! output diverges or any stencil fallback is unexplained. The
 //! nested-loop workloads (Gibbs, Triangles) are additionally gated at
 //! every size: their variable-trip inner loops must run segmented with
@@ -156,6 +159,9 @@ fn main() {
             );
             failed = true;
         }
+        if args.smoke {
+            failed |= check_vector_loops(r, &args);
+        }
         if args.native {
             failed |= check_native(r, &args);
         }
@@ -234,6 +240,41 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
+}
+
+/// Lanes per batched block (`dmll_interp`'s `BLOCK`, not exported).
+const BLOCK: u64 = 1024;
+
+/// The loops whose generator element is a whole vector must stay on the
+/// batched tier: LogReg's reduce of gradient rows, and k-means' bucket-
+/// reduce of row vectors next to its (scalar) assignment loop. Counts, not
+/// timings. Returns true on failure.
+fn check_vector_loops(r: &tiers::TierRow, args: &Args) -> bool {
+    // k-means' vector-valued loop is the Conditional-Reduce rewrite's
+    // output, so without runtime fusion only the label check applies.
+    let row_loops = match r.app {
+        "LogReg" => 1,
+        "k-means" if args.fuse => 2,
+        "k-means" => 0,
+        _ => return false,
+    };
+    let mut failed = false;
+    if let Some((_, n)) = r.batch_reject.iter().find(|(k, _)| k == "boxed_gen_result") {
+        eprintln!("FAIL: {} left {n} loops scalar with boxed_gen_result", r.app);
+        failed = true;
+    }
+    // Sequential only: chunked smoke-size tasks legitimately drain whole
+    // loops through the scalar tail.
+    let want = row_loops * (r.rows as u64 / BLOCK);
+    if args.threads == 1 && r.batched_blocks_per_run() < want {
+        eprintln!(
+            "FAIL: {} ran {} full blocks per execution, its {row_loops} row-long loops hold {want}",
+            r.app,
+            r.batched_blocks_per_run()
+        );
+        failed = true;
+    }
+    failed
 }
 
 /// Native-tier gates for one app row. Returns true on failure.

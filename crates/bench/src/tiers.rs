@@ -96,6 +96,12 @@ impl TierRow {
     pub fn native_speedup(&self) -> Option<f64> {
         self.native_secs.map(|n| self.batched_secs / n.max(1e-12))
     }
+
+    /// Full blocks one batched-phase execution ran (the counter spans the
+    /// phase's `RUNS` executions).
+    pub fn batched_blocks_per_run(&self) -> u64 {
+        self.stats.batched_blocks / RUNS
+    }
 }
 
 /// A staged, optimized workload with deterministic synthetic inputs.

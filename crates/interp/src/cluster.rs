@@ -431,7 +431,7 @@ fn drive(
                     // Same threshold as the single-node supervised path:
                     // not worth sharding, run on the coordinator's tiers.
                     report.coordinator_loops += 1;
-                    let (out, _compiled) = interp.eval_loop_tiered(ml, env, true, true, false)?;
+                    let (out, _tier) = interp.eval_loop_tiered(ml, env, true, true, false)?;
                     out
                 } else {
                     run_epoch(

@@ -276,6 +276,20 @@ pub(crate) enum FastRed {
     F(FOp),
 }
 
+/// A reducer over array values that is the element-wise lift of a
+/// [`FastRed`] op: `(a, b) → collect(n) { a(j) ⊕ b(j) }` with `n` either
+/// `len(a)` or a loop-invariant register — the two shapes Column-to-Row
+/// Reduce and `vec_add` stage. The batch executor folds such a reducer
+/// component-wise in place when `n`, `len(a)` and `len(b)` agree; in every
+/// other case (and on every other tier) the reducer block itself runs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LiftedRed {
+    pub op: FastRed,
+    /// `Some(r)`: the collect's size is invariant `I` register `r`;
+    /// `None`: it is `len(a)`.
+    pub size: Option<u16>,
+}
+
 /// A compiled generator.
 #[derive(Clone, Debug)]
 pub(crate) struct CGen {
@@ -290,6 +304,7 @@ pub(crate) struct CGen {
     /// Bucket keys are unboxed `i64` (typed hash index).
     pub key_typed: bool,
     pub fast_red: Option<FastRed>,
+    pub lifted_red: Option<LiftedRed>,
 }
 
 /// A nested compiled loop: size register, generators, one destination
@@ -335,6 +350,10 @@ pub(crate) struct Kernel {
     /// element reads are boxed — but a dedicated extraction loop avoids
     /// per-element bytecode dispatch entirely; see [`Kernel::run_scatter`].
     pub scatter: Option<Vec<ScatterField>>,
+    /// Trip-count registers (`I`, loop-invariant) of the nested `Collect`s
+    /// the batch executor keeps as virtual vector columns; a run whose
+    /// value exceeds [`batch::VEC_TRIP_CAP`] declines to the scalar loop.
+    pub vec_trips: Vec<u16>,
 }
 
 /// One pure extern operation a kernel calls: the handler name and the
@@ -370,6 +389,10 @@ pub(crate) struct KState {
     /// from the registry: the call site raises `UnknownExtern`, so a loop
     /// that never calls it still runs, matching the tree-walker).
     ext: Vec<Option<ExternFn>>,
+    /// Set once [`Kernel::run_range`] runs the element-at-a-time loop on
+    /// this state (not the scatter path): callers that offered the loop to
+    /// the batched tier count it batch-ineligible only then.
+    pub(crate) element_loop_ran: bool,
 }
 
 /// An unboxed-or-boxed scalar crossing the accumulator boundary.
@@ -850,6 +873,7 @@ impl Kernel {
                 .iter()
                 .map(|d| externs.get(&d.name).cloned())
                 .collect(),
+            element_loop_ran: false,
         };
         for (sym, reg) in &self.free {
             let v = env[sym.0 as usize]
@@ -880,9 +904,18 @@ impl Kernel {
                 }
             }
         }
+        st.element_loop_ran = true;
         let mut accs: Vec<KAcc> = self.gens.iter().map(|g| KAcc::for_gen(g, hint)).collect();
         self.exec_gens(&self.gens, &mut accs, st, start, end)?;
         Ok(accs)
+    }
+
+    /// Why a run that was offered the batched tier ran the element loop
+    /// instead: the certifier's reason, or — for a kernel that certifies —
+    /// the only run-time decline there is.
+    pub(crate) fn element_loop_reason(&self) -> BatchIneligible {
+        self.batch_reject
+            .unwrap_or(BatchIneligible::VectorTooWide)
     }
 
     /// Dedicated AoS→SoA extraction: one traversal pulling every planned
@@ -2032,10 +2065,12 @@ pub(crate) fn compile_multiloop(ml: &Multiloop, env: &Env) -> Result<Kernel, Rej
         native: std::sync::OnceLock::new(),
         seg_plans: Vec::new(),
         scatter,
+        vec_trips: Vec::new(),
     };
-    let (reject, seg_plans) = batch::batch_certify(&kernel);
+    let (reject, seg_plans, vec_trips) = batch::batch_certify(&kernel);
     kernel.batch_reject = reject;
     kernel.seg_plans = seg_plans;
+    kernel.vec_trips = vec_trips;
     kernel.batchable = kernel.batch_reject.is_none();
     Ok(kernel)
 }
@@ -2204,16 +2239,17 @@ impl<'e> Compiler<'e> {
             None => None,
         };
         let key_typed = key.as_ref().is_some_and(|k| k.result.class == Class::I);
-        let (reducer, fast_red) = match g.reducer() {
+        let (reducer, fast_red, lifted_red) = match g.reducer() {
             Some(rb) => {
                 let (blk, _rty) = self.compile_block(rb, &[val_vty.clone(), val_vty.clone()])?;
                 if blk.result.class != val_class {
                     return Err(Reject("reducer result class differs from value class"));
                 }
                 let fr = recognize_fast_red(&blk);
-                (Some(blk), fr)
+                let lr = recognize_lifted_red(&blk, &self.loops);
+                (Some(blk), fr, lr)
             }
-            None => (None, None),
+            None => (None, None, None),
         };
         // Only `Reduce` consults its explicit identity at runtime (empty
         // reductions and chunk seeding); the tree-walker never reads a
@@ -2239,6 +2275,7 @@ impl<'e> Compiler<'e> {
                 val_class,
                 key_typed,
                 fast_red,
+                lifted_red,
             },
             val_vty,
         ))
@@ -3000,6 +3037,64 @@ fn recognize_fast_red(blk: &CBlock) -> Option<FastRed> {
         }
         _ => None,
     }
+}
+
+/// Recognize a reducer that lifts a [`FastRed`] op element-wise over its
+/// two array parameters: the block is one nested unconditional `Collect`
+/// (optionally preceded by `len(a)` as its size) whose value block reads
+/// `a(j)` and `b(j)` and combines them, in that operand order, with a
+/// single typed binary instruction.
+fn recognize_lifted_red(blk: &CBlock, loops: &[CLoop]) -> Option<LiftedRed> {
+    let [p0, p1] = blk.params[..] else { return None };
+    if p0.class != Class::V || p1.class != Class::V || p0.idx == p1.idx {
+        return None;
+    }
+    let (len_of_acc, li) = match blk.instrs.as_slice() {
+        [Instr::Loop(li)] => (None, *li),
+        [Instr::LenA { dst, a }, Instr::Loop(li)] if *a == p0 => (Some(*dst), *li),
+        _ => return None,
+    };
+    let cl = &loops[li as usize];
+    let ([gen], [dst]) = (&cl.gens[..], &cl.dsts[..]) else {
+        return None;
+    };
+    if gen.kind != GenKind::Collect || gen.cond.is_some() || *dst != blk.result {
+        return None;
+    }
+    // A size register other than `len(a)` is written by nothing in this
+    // block, so it is a free variable, constant or preamble result.
+    let size = match len_of_acc {
+        Some(n) if n == cl.size => None,
+        Some(_) => return None,
+        None => Some(cl.size),
+    };
+    let vb = &gen.value;
+    let [j] = vb.params[..] else { return None };
+    let [ra, rb, bin] = &vb.instrs[..] else {
+        return None;
+    };
+    let (x, y, op) = match (ra, rb, bin) {
+        (
+            Instr::ReadVI { dst: x, arr: a0, idx: i0 },
+            Instr::ReadVI { dst: y, arr: a1, idx: i1 },
+            Instr::BinI { op, dst, a, b },
+        ) if (*a0, *a1, *i0, *i1) == (p0.idx, p1.idx, j.idx, j.idx)
+            && vb.result == (Reg { class: Class::I, idx: *dst }) =>
+        {
+            ((*x, *a), (*y, *b), FastRed::I(*op))
+        }
+        (
+            Instr::ReadVF { dst: x, arr: a0, idx: i0 },
+            Instr::ReadVF { dst: y, arr: a1, idx: i1 },
+            Instr::BinF { op, dst, a, b },
+        ) if (*a0, *a1, *i0, *i1) == (p0.idx, p1.idx, j.idx, j.idx)
+            && vb.result == (Reg { class: Class::F, idx: *dst }) =>
+        {
+            ((*x, *a), (*y, *b), FastRed::F(*op))
+        }
+        _ => return None,
+    };
+    (x.0 == x.1 && y.0 == y.1 && x.0 != y.0).then_some(LiftedRed { op, size })
 }
 
 // ---------------------------------------------------------------------------
@@ -3883,6 +3978,110 @@ mod tests {
         let again = cache.kernel_for(&ml, &env, 0xF00D).expect("cached");
         assert!(Arc::ptr_eq(&fused, &again));
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    /// Compile the first body statement (a loop whose free variables are
+    /// all program inputs) of a staged program.
+    fn first_loop_kernel(p: &Program, inputs: &[(&str, Value)]) -> (Kernel, Env) {
+        let mut env: Env = vec![None; p.next_sym_id() as usize];
+        for i in &p.inputs {
+            let v = inputs.iter().find(|(n, _)| *n == i.name).expect("input bound");
+            env[i.sym.0 as usize] = Some(v.1.clone());
+        }
+        let Def::Loop(ml) = &p.body.stmts[0].def else {
+            panic!("first statement is a loop");
+        };
+        (compile_multiloop(ml, &env).expect("compiles"), env)
+    }
+
+    #[test]
+    fn vector_valued_reduce_certifies_and_matches_the_element_loop() {
+        use dmll_core::LayoutHint;
+        let mut st = dmll_frontend::Stage::new();
+        let x = st.input("x", Ty::arr(Ty::F64), LayoutHint::Partitioned);
+        let n = st.input("n", Ty::I64, LayoutHint::Local);
+        let t = st.input("t", Ty::I64, LayoutHint::Local);
+        let sum = st.reduce(
+            &n,
+            |st, i| {
+                let xi = st.read(&x, i);
+                st.collect(&t, |st, j| {
+                    let jf = st.i2f(j);
+                    st.mul(&xi, &jf)
+                })
+            },
+            |st, a, b| st.vec_add(a, b),
+            None,
+        );
+        let p = st.finish(&sum);
+        let len = 2 * batch::BLOCK as i64 + 5;
+        let data: Vec<f64> = (0..len).map(|i| i as f64 / 7.0 - 100.0).collect();
+        let inputs = [
+            ("x", Value::f64_arr(data)),
+            ("n", Value::I64(len)),
+            ("t", Value::I64(3)),
+        ];
+        let (k, env) = first_loop_kernel(&p, &inputs);
+        assert_eq!(k.batch_reject, None);
+        assert_eq!(k.vec_trips.len(), 1, "one virtual vector, one trip register");
+        let lift = k.gens[0].lifted_red.expect("vec_add is an element-wise lift");
+        assert!(matches!(lift.op, FastRed::F(FOp::Add)) && lift.size.is_none());
+
+        let mut bst = k.new_batched_state(&env, &Externs::default()).unwrap();
+        let accs = k.run_range_batched(&mut bst, 0, len).unwrap();
+        assert!(!bst.scalar.element_loop_ran);
+        let batched = k.seal_values(accs, &mut bst.scalar).unwrap();
+        let mut st = k.new_state(&env, &Externs::default()).unwrap();
+        let accs = k.run_range(&mut st, 0, len).unwrap();
+        assert!(st.element_loop_ran);
+        assert_eq!(batched, k.seal_values(accs, &mut st).unwrap());
+    }
+
+    #[test]
+    fn declines_name_the_offending_instruction() {
+        use dmll_core::LayoutHint;
+        // PageRank's second loop: a bucket read, then arithmetic on its
+        // boxed result. The reason is the read, not the boxed result.
+        let value = Block {
+            params: vec![Sym(0)],
+            stmts: vec![
+                Stmt::one(
+                    Sym(1),
+                    Def::BucketGet {
+                        buckets: Exp::Sym(Sym(10)),
+                        key: Exp::Sym(Sym(0)),
+                        default: Some(Exp::Const(Const::F64(0.0))),
+                    },
+                ),
+                Stmt::one(
+                    Sym(2),
+                    Def::Prim {
+                        op: PrimOp::Mul,
+                        args: vec![Exp::Const(Const::F64(0.85)), Exp::Sym(Sym(1))],
+                    },
+                ),
+            ],
+            result: Exp::Sym(Sym(2)),
+        };
+        let ml = Multiloop::single(Exp::i64(4), Gen::Collect { cond: None, value });
+        let buckets = BucketsVal::new(vec![Value::I64(1)], vec![Value::F64(2.0)]);
+        let env = env_with(vec![(10, Value::Buckets(Arc::new(buckets)))]);
+        let k = compile_multiloop(&ml, &env).expect("compiles");
+        assert_eq!(k.batch_reject, Some(BatchIneligible::BucketOp));
+
+        // A block that certifies (a virtual tuple) yet yields a boxed
+        // element is what `boxed_gen_result` is left for.
+        let mut st = dmll_frontend::Stage::new();
+        let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
+        let n = st.input("n", Ty::I64, LayoutHint::Local);
+        let pairs = st.collect(&n, |st, i| {
+            let xi = st.read(&x, i);
+            st.tuple(&[&xi, i])
+        });
+        let p = st.finish(&pairs);
+        let inputs = [("x", Value::i64_arr(vec![3, 1, 2])), ("n", Value::I64(3))];
+        let (k, _) = first_loop_kernel(&p, &inputs);
+        assert_eq!(k.batch_reject, Some(BatchIneligible::BoxedGenResult));
     }
 
     #[test]

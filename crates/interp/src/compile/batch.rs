@@ -48,12 +48,28 @@
 //! **virtual tuple columns**: `TupleNewV`/`TupleGet*`/`MuxV` over them
 //! execute as per-component column ops, and certification tracks which
 //! `V` registers are virtual so nothing ever boxes.
+//!
+//! **Virtual vectors.** The array counterpart: a nested unconditional
+//! `Collect` with a loop-invariant trip count `T` and a typed element runs
+//! iteration-major into a `T x BLOCK` slab ([`VVec`]) instead of boxing one
+//! array per lane. `len`, typed reads at any index register and all four
+//! generator kinds consume the slab directly, so the loops Column-to-Row
+//! Reduce produces — a reduce whose element is a whole row vector — stay
+//! on this tier. A reducer that lifts a [`FastRed`] op element-wise
+//! ([`LiftedRed`]) folds each component over the active lanes in lane
+//! order, in place in the ordinary `KAcc::RedV` / `RedBuf::V` accumulator:
+//! component `j`'s chain sees the same operands in the same order as the
+//! element loop's `a(j) ⊕ b(j)`, so float bits cannot differ. Every other
+//! reducer, and any length disagreement, runs the reducer block per lane on
+//! a materialised lane vector.
 
 use super::{
     apply_f, apply_i, bounds, read_array, stats, ArrayVal, CBlock, CGen, CLoop, Class, ColBuf,
-    EvalError, FastRed, GenKind, Instr, KAcc, KState, Kernel, KeyIx, RedBuf, Reg, Scalar, Value,
+    EvalError, FastRed, GenKind, Instr, KAcc, KState, Kernel, KeyIx, LiftedRed, RedBuf, Reg,
+    Scalar, Value,
 };
 use crate::eval::{check_extern_ret, eval_math, Env, Externs};
+use std::sync::Arc;
 
 /// Lanes per block. Wide enough to amortize dispatch and fill vector units;
 /// small enough that per-worker column files stay cache-resident.
@@ -71,6 +87,12 @@ const _: () = assert!(BLOCK.is_multiple_of(LANES), "full blocks must chunk evenl
 
 /// Keys `0 <= k < DENSE_KEY_CAP` use the dense bucket directory.
 const DENSE_KEY_CAP: usize = 1 << 20;
+
+/// Longest virtual vector the batch executor keeps columnar. A slab is
+/// `T x BLOCK` elements per virtual register per worker (2 MB of `f64` at
+/// the cap); a loop whose vectors are longer runs the scalar loop, where a
+/// vector is one allocation per element instead of `BLOCK` at once.
+pub(crate) const VEC_TRIP_CAP: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Certification
@@ -108,7 +130,9 @@ pub enum BatchIneligible {
     NestedLoopInBody,
     /// A nested reduce over boxed values.
     NestedBoxedReduce,
-    /// A generator whose element value is a boxed (`V`-class) result.
+    /// A generator whose blocks certify but whose element (or key) is still
+    /// a boxed (`V`-class) value: a virtual tuple, or an array the nested
+    /// columnar path does not produce.
     BoxedGenResult,
     /// A variable-trip nested loop whose body produces or consumes boxed
     /// (or virtual-tuple) values; the segmented executor is scalar-typed.
@@ -117,6 +141,10 @@ pub enum BatchIneligible {
     /// state beyond its own parameters, so per-lane folds cannot run on
     /// the shared scalar register file.
     SegmentedReducerVaries,
+    /// Run-time decline of a kernel that certifies: a virtual vector's trip
+    /// count exceeds [`VEC_TRIP_CAP`], so this run took the scalar loop
+    /// rather than allocate the slab.
+    VectorTooWide,
 }
 
 impl BatchIneligible {
@@ -139,6 +167,7 @@ impl BatchIneligible {
             BatchIneligible::BoxedGenResult => "boxed_gen_result",
             BatchIneligible::SegmentedBoxedValue => "segmented_boxed_value",
             BatchIneligible::SegmentedReducerVaries => "segmented_reducer_varies",
+            BatchIneligible::VectorTooWide => "vector_too_wide",
         }
     }
 }
@@ -158,13 +187,14 @@ impl std::fmt::Display for BatchIneligible {
             BatchIneligible::NestedTripCountVaries => "nested loop with per-element trip count",
             BatchIneligible::NestedLoopInBody => "nested loop in generator body",
             BatchIneligible::NestedBoxedReduce => "nested reduce over boxed values",
-            BatchIneligible::BoxedGenResult => "vector-valued generator element (boxed result)",
+            BatchIneligible::BoxedGenResult => "generator element or key stays boxed",
             BatchIneligible::SegmentedBoxedValue => {
                 "boxed value in a variable-trip (segmented) nested loop"
             }
             BatchIneligible::SegmentedReducerVaries => {
                 "segmented nested reducer reads per-element state"
             }
+            BatchIneligible::VectorTooWide => "vector-valued element wider than the slab bound",
         };
         f.write_str(msg)
     }
@@ -427,12 +457,17 @@ fn note_gen_writes(gens: &[CGen], varying: &mut [Vec<bool>; 3]) {
 
 /// Certifier state: walks the kernel's per-element blocks in execution
 /// order, tracking which `V` registers hold *virtual tuples* (tuples of
-/// typed components kept as per-component columns) and which `I` registers
+/// typed components kept as per-component columns) or *virtual vectors*
+/// (invariant-length typed arrays kept as slabs), and which `I` registers
 /// vary per element (so nested loop sizes can be proven invariant).
 struct Cert<'a> {
     k: &'a Kernel,
-    /// Component classes per virtual `V` register.
+    /// Component classes per virtual-tuple `V` register.
     virt: Vec<Option<Vec<Class>>>,
+    /// Element class per virtual-vector `V` register.
+    vecs: Vec<Option<Class>>,
+    /// Trip-count registers of the loops that produce virtual vectors.
+    vec_trips: Vec<u16>,
     /// Typed registers written inside any per-element block, per class
     /// (`I`/`F`/`B`). A batched nested loop shares one trip count across
     /// lanes, so its size register must not be among the `I` entries; a
@@ -463,6 +498,8 @@ impl<'a> Cert<'a> {
         Cert {
             k,
             virt: vec![None; k.n_regs[3]],
+            vecs: vec![None; k.n_regs[3]],
+            vec_trips: Vec::new(),
             varying,
             seg_plans: (0..k.loops.len()).map(|_| None).collect(),
         }
@@ -470,6 +507,25 @@ impl<'a> Cert<'a> {
 
     fn is_varying(&self, r: Reg) -> bool {
         class_slot(r.class).is_some_and(|s| self.varying[s][r.idx as usize])
+    }
+
+    /// True for a `V` register with no boxed value behind it (its content
+    /// lives in columns), which per-lane scalar code must not read.
+    fn is_virtual(&self, r: Reg) -> bool {
+        r.class == Class::V
+            && (self.virt[r.idx as usize].is_some() || self.vecs[r.idx as usize].is_some())
+    }
+
+    /// True for a typed read out of a virtual vector. A slab is indexed by
+    /// owner lane, so segmented bodies (flat positions) and their reducers
+    /// (the scalar register file) cannot serve one.
+    fn reads_virtual_vec(&self, ins: &Instr) -> bool {
+        match ins {
+            Instr::ReadVI { arr, .. } | Instr::ReadVF { arr, .. } | Instr::ReadVB { arr, .. } => {
+                self.vecs[*arr as usize].is_some()
+            }
+            _ => false,
+        }
     }
 
     fn comps_of(&self, t: u16) -> Option<&Vec<Class>> {
@@ -510,14 +566,12 @@ impl<'a> Cert<'a> {
                 Instr::CallExtern { args, .. } => {
                     // Per-lane scalar calls: every typed operand has a
                     // column, and a `V` operand must be a real boxed value
-                    // in `scalar.rv` (invariant), not a virtual tuple.
-                    if args
-                        .iter()
-                        .any(|r| r.class == Class::V && self.virt[r.idx as usize].is_some())
-                    {
+                    // in `scalar.rv` (invariant), not a virtual one.
+                    if args.iter().any(|r| self.is_virtual(*r)) {
                         return Err(BatchIneligible::BoxedOperand);
                     }
                 }
+                Instr::LenA { a, .. } if self.vecs[a.idx as usize].is_some() => {}
                 Instr::Loop(li) => self.certify_cloop(*li)?,
                 ins => return Err(reject_reason(ins)),
             }
@@ -525,11 +579,12 @@ impl<'a> Cert<'a> {
         Ok(())
     }
 
-    /// Certify a nested loop: invariant trip count, `Reduce`-only
-    /// unconditional generators, batchable value blocks, and reducers that
-    /// either fast-fold or certify columnar themselves (typed or over
-    /// matching virtual tuples). Loops whose trip count *varies* per lane
-    /// take the segmented path instead of rejecting outright.
+    /// Certify a nested loop: invariant trip count, unconditional `Reduce`
+    /// and `Collect` generators, batchable value blocks, typed `Collect`
+    /// elements (the result is a virtual vector), and reducers that either
+    /// fast-fold or certify columnar themselves (typed or over matching
+    /// virtual tuples). Loops whose trip count *varies* per lane take the
+    /// segmented path instead of rejecting outright.
     fn certify_cloop(&mut self, li: u32) -> Result<(), BatchIneligible> {
         let k = self.k;
         let cl = &k.loops[li as usize];
@@ -537,12 +592,21 @@ impl<'a> Cert<'a> {
             return self.certify_cloop_segmented(li, cl);
         }
         for (gen, dst) in cl.gens.iter().zip(&cl.dsts) {
-            if gen.kind != GenKind::Reduce || gen.cond.is_some() {
+            let collect = gen.kind == GenKind::Collect;
+            if !(collect || gen.kind == GenKind::Reduce) || gen.cond.is_some() {
                 return Err(BatchIneligible::NestedLoopInBody);
             }
             self.certify_block(&gen.value)?;
             let res = gen.value.result;
-            if res.class == Class::V {
+            if collect {
+                if res.class == Class::V {
+                    return Err(BatchIneligible::BoxedGenResult);
+                }
+                self.vecs[dst.idx as usize] = Some(res.class);
+                if !self.vec_trips.contains(&cl.size) {
+                    self.vec_trips.push(cl.size);
+                }
+            } else if res.class == Class::V {
                 let Some(comps) = self.comps_of(res.idx).cloned() else {
                     return Err(BatchIneligible::BoxedGenResult);
                 };
@@ -639,12 +703,12 @@ impl<'a> Cert<'a> {
             match ins {
                 Instr::Loop(_) => return Err(BatchIneligible::NestedLoopInBody),
                 Instr::CallExtern { args, .. } => {
-                    if args
-                        .iter()
-                        .any(|r| r.class == Class::V && self.virt[r.idx as usize].is_some())
-                    {
+                    if args.iter().any(|r| self.is_virtual(*r)) {
                         return Err(BatchIneligible::BoxedOperand);
                     }
+                }
+                ins if self.reads_virtual_vec(ins) => {
+                    return Err(BatchIneligible::SegmentedBoxedValue)
                 }
                 ins if instr_batchable(ins) => {}
                 ins => {
@@ -665,12 +729,12 @@ impl<'a> Cert<'a> {
         for ins in &rb.instrs {
             match ins {
                 Instr::CallExtern { args, .. } => {
-                    if args
-                        .iter()
-                        .any(|r| r.class == Class::V && self.virt[r.idx as usize].is_some())
-                    {
+                    if args.iter().any(|r| self.is_virtual(*r)) {
                         return Err(BatchIneligible::BoxedOperand);
                     }
+                }
+                ins if self.reads_virtual_vec(ins) => {
+                    return Err(BatchIneligible::SegmentedBoxedValue)
                 }
                 ins if instr_batchable(ins) => {}
                 _ => return Err(BatchIneligible::NestedBoxedReduce),
@@ -694,24 +758,38 @@ pub(crate) struct SegPlan {
 }
 
 /// Certify a kernel for the batched tier: the first non-certifying
-/// block/instruction mapped to a stable, typed reason (`None` = the kernel
-/// certifies), plus the segmented execution plans for any lane-varying
-/// nested loops. Surfaced through the per-loop fallback counters so
-/// "batched_loops: 0" is never an unexplained miss.
-pub(crate) fn batch_certify(k: &Kernel) -> (Option<BatchIneligible>, Vec<Option<SegPlan>>) {
+/// instruction mapped to a stable, typed reason (`None` = the kernel
+/// certifies) — or [`BatchIneligible::BoxedGenResult`] for a block that
+/// certifies yet yields a boxed value the accumulators cannot take
+/// columnar — plus the segmented execution plans for any lane-varying
+/// nested loops and the trip-count registers of the virtual vectors.
+/// Surfaced through the per-loop fallback counters so "batched_loops: 0"
+/// is never an unexplained miss.
+pub(crate) fn batch_certify(
+    k: &Kernel,
+) -> (Option<BatchIneligible>, Vec<Option<SegPlan>>, Vec<u16>) {
     let mut cert = Cert::new(k);
+    let reject = |r| (Some(r), Vec::new(), Vec::new());
     for g in &k.gens {
-        let blocks = [Some(&g.value), g.cond.as_ref(), g.key.as_ref()];
-        for b in blocks.into_iter().flatten() {
-            if b.result.class == Class::V {
-                return (Some(BatchIneligible::BoxedGenResult), Vec::new());
-            }
+        if let Err(r) = cert.certify_block(&g.value) {
+            return reject(r);
+        }
+        // A value may be a virtual vector (materialised per lane into the
+        // boxed accumulators); conditions and keys must be typed.
+        let res = g.value.result;
+        if res.class == Class::V && cert.vecs[res.idx as usize].is_none() {
+            return reject(BatchIneligible::BoxedGenResult);
+        }
+        for b in [g.cond.as_ref(), g.key.as_ref()].into_iter().flatten() {
             if let Err(r) = cert.certify_block(b) {
-                return (Some(r), Vec::new());
+                return reject(r);
+            }
+            if b.result.class == Class::V {
+                return reject(BatchIneligible::BoxedGenResult);
             }
         }
     }
-    (None, cert.seg_plans)
+    (None, cert.seg_plans, cert.vec_trips)
 }
 
 // ---------------------------------------------------------------------------
@@ -735,12 +813,37 @@ impl DenseDir {
     }
 }
 
-/// One component column of a virtual tuple.
+/// Typed column storage for virtual values: one component column of a
+/// virtual tuple, or the whole slab of a virtual vector.
 #[derive(Clone)]
 enum VCol {
     I(Vec<i64>),
     F(Vec<f64>),
     B(Vec<bool>),
+}
+
+/// A virtual vector: every lane's `len`-element array, stored iteration-
+/// major — row `j` (`slab[j * BLOCK..][..BLOCK]`) holds element `j` of all
+/// lanes, exactly the column the producing loop's iteration `j` computed.
+struct VVec {
+    len: usize,
+    slab: VCol,
+}
+
+impl VVec {
+    /// Lane `l` as the array the scalar loop's nested `Collect` seals:
+    /// typed storage when non-empty, `Boxed` when empty (`seal_array`).
+    fn lane_value(&self, l: usize) -> Value {
+        fn lane<T: Copy>(slab: &[T], len: usize, l: usize) -> Arc<Vec<T>> {
+            Arc::new((0..len).map(|j| slab[j * BLOCK + l]).collect())
+        }
+        Value::Arr(match &self.slab {
+            _ if self.len == 0 => ArrayVal::Boxed(Arc::new(Vec::new())),
+            VCol::I(s) => ArrayVal::I64(lane(s, self.len, l)),
+            VCol::F(s) => ArrayVal::F64(lane(s, self.len, l)),
+            VCol::B(s) => ArrayVal::Bool(lane(s, self.len, l)),
+        })
+    }
 }
 
 /// Batched register files: one [`BLOCK`]-wide column per typed register,
@@ -753,6 +856,10 @@ pub(crate) struct BState {
     /// Virtual tuple columns per `V` register (`None` = a real boxed value
     /// living in `scalar.rv`; certification keeps the two disjoint).
     cv: Vec<Option<Vec<VCol>>>,
+    /// Virtual vector slabs per `V` register (empty when the kernel has
+    /// none), allocated by the first run of the producing loop and reused
+    /// (overwritten) by every later one.
+    vv: Vec<Option<VVec>>,
     /// One dense key directory per top-level generator.
     dense: Vec<DenseDir>,
     /// Per-element block executions since the last flush that ran the
@@ -779,6 +886,13 @@ impl Kernel {
             cf: scalar.rf.iter().map(|&v| vec![v; BLOCK]).collect(),
             cb: scalar.rb.iter().map(|&v| vec![v; BLOCK]).collect(),
             cv: vec![None; scalar.rv.len()],
+            // Most kernels have no virtual vector; theirs stays unallocated
+            // (a state is built per small loop on the service's hot path).
+            vv: if self.vec_trips.is_empty() {
+                Vec::new()
+            } else {
+                scalar.rv.iter().map(|_| None).collect()
+            },
             dense: self.gens.iter().map(|_| DenseDir::new()).collect(),
             simd_blocks: 0,
             segmented_blocks: 0,
@@ -992,6 +1106,25 @@ fn try_gather<T: Copy>(
     })
 }
 
+/// The virtual vector in `V` register `r`, if that register holds one.
+fn vvec_at(vv: &[Option<VVec>], r: u16) -> Option<&VVec> {
+    vv.get(r as usize).and_then(Option::as_ref)
+}
+
+/// Gather lane `l`'s element `idx[l]` of a virtual vector into `d`.
+fn gather_slab<T: Copy>(
+    d: &mut [T],
+    slab: &[T],
+    len: usize,
+    idx: &[i64],
+    lanes: &Lanes,
+) -> Result<(), (usize, EvalError)> {
+    each_lane(lanes, |l| {
+        d[l] = slab[bounds(idx[l], len)? * BLOCK + l];
+        Ok(())
+    })
+}
+
 macro_rules! take_col {
     ($st:expr, $file:ident, $r:expr) => {
         std::mem::take(&mut $st.$file[$r as usize])
@@ -1191,12 +1324,16 @@ impl Kernel {
             Instr::ReadVI { dst, arr, idx } => {
                 let mut d = take_col!(st, ci, *dst);
                 let ic = &st.ci[*idx as usize];
-                let r = match &st.scalar.rv[*arr as usize] {
-                    Value::Arr(ArrayVal::I64(v)) => try_gather(&mut d, ic, lanes, |i| {
+                let r = match (vvec_at(&st.vv, *arr), &st.scalar.rv[*arr as usize]) {
+                    (Some(VVec { len, slab: VCol::I(s) }), _) => {
+                        gather_slab(&mut d, s, *len, ic, lanes)
+                    }
+                    (Some(_), _) => unreachable!("certified virtual vector class"),
+                    (None, Value::Arr(ArrayVal::I64(v))) => try_gather(&mut d, ic, lanes, |i| {
                         let p = bounds(i, v.len())?;
                         Ok(v[p])
                     }),
-                    other => try_gather(&mut d, ic, lanes, |i| {
+                    (None, other) => try_gather(&mut d, ic, lanes, |i| {
                         read_array(other, &Value::I64(i))?
                             .as_i64()
                             .ok_or_else(|| EvalError::TypeMismatch("typed array read".into()))
@@ -1208,12 +1345,16 @@ impl Kernel {
             Instr::ReadVF { dst, arr, idx } => {
                 let mut d = take_col!(st, cf, *dst);
                 let ic = &st.ci[*idx as usize];
-                let r = match &st.scalar.rv[*arr as usize] {
-                    Value::Arr(ArrayVal::F64(v)) => try_gather(&mut d, ic, lanes, |i| {
+                let r = match (vvec_at(&st.vv, *arr), &st.scalar.rv[*arr as usize]) {
+                    (Some(VVec { len, slab: VCol::F(s) }), _) => {
+                        gather_slab(&mut d, s, *len, ic, lanes)
+                    }
+                    (Some(_), _) => unreachable!("certified virtual vector class"),
+                    (None, Value::Arr(ArrayVal::F64(v))) => try_gather(&mut d, ic, lanes, |i| {
                         let p = bounds(i, v.len())?;
                         Ok(v[p])
                     }),
-                    other => try_gather(&mut d, ic, lanes, |i| {
+                    (None, other) => try_gather(&mut d, ic, lanes, |i| {
                         read_array(other, &Value::I64(i))?
                             .as_f64()
                             .ok_or_else(|| EvalError::TypeMismatch("typed array read".into()))
@@ -1225,12 +1366,16 @@ impl Kernel {
             Instr::ReadVB { dst, arr, idx } => {
                 let mut d = take_col!(st, cb, *dst);
                 let ic = &st.ci[*idx as usize];
-                let r = match &st.scalar.rv[*arr as usize] {
-                    Value::Arr(ArrayVal::Bool(v)) => try_gather(&mut d, ic, lanes, |i| {
+                let r = match (vvec_at(&st.vv, *arr), &st.scalar.rv[*arr as usize]) {
+                    (Some(VVec { len, slab: VCol::B(s) }), _) => {
+                        gather_slab(&mut d, s, *len, ic, lanes)
+                    }
+                    (Some(_), _) => unreachable!("certified virtual vector class"),
+                    (None, Value::Arr(ArrayVal::Bool(v))) => try_gather(&mut d, ic, lanes, |i| {
                         let p = bounds(i, v.len())?;
                         Ok(v[p])
                     }),
-                    other => try_gather(&mut d, ic, lanes, |i| {
+                    (None, other) => try_gather(&mut d, ic, lanes, |i| {
                         read_array(other, &Value::I64(i))?
                             .as_bool()
                             .ok_or_else(|| EvalError::TypeMismatch("typed array read".into()))
@@ -1238,6 +1383,10 @@ impl Kernel {
                 };
                 st.cb[*dst as usize] = d;
                 r?;
+            }
+            Instr::LenA { dst, a } => {
+                let v = st.vv[a.idx as usize].as_ref().expect("virtual vector register");
+                st.ci[*dst as usize].fill(v.len as i64);
             }
             Instr::TupleNewV { dst, args } => {
                 let comps = args
@@ -1422,13 +1571,15 @@ impl Kernel {
 // Nested loops
 // ---------------------------------------------------------------------------
 
-/// A nested reduce accumulator: one lane-wide column (or virtual tuple of
-/// columns) holding every lane's running reduction.
+/// A nested loop accumulator: one lane-wide column (or virtual tuple of
+/// columns) holding every lane's running reduction, or the slab a nested
+/// `Collect` fills one row per iteration.
 enum NAcc {
     I(Vec<i64>),
     F(Vec<f64>),
     B(Vec<bool>),
     V(Vec<VCol>),
+    Slab(VVec),
 }
 
 /// Record `new` into `pend` if it is the earliest-lane fault seen so far.
@@ -1459,11 +1610,16 @@ impl Kernel {
         let mut local = lanes.clone();
         let mut pend: Option<(usize, EvalError)> = None;
         // An explicit identity seeds the accumulator with its column, so
-        // iteration 0 folds reduce(init, x0) exactly like the scalar loop.
+        // iteration 0 folds reduce(init, x0) exactly like the scalar loop;
+        // a `Collect` starts from its (recycled) slab.
         let mut accs: Vec<Option<NAcc>> = cl
             .gens
             .iter()
-            .map(|g| g.init.map(|r| init_nacc(r, st)))
+            .zip(&cl.dsts)
+            .map(|(g, dst)| match g.kind {
+                GenKind::Collect => Some(NAcc::Slab(take_slab(*dst, g.val_class, size, st))),
+                _ => g.init.map(|r| init_nacc(r, st)),
+            })
             .collect();
         for it in 0..size.max(0) {
             if local.is_empty() {
@@ -1480,7 +1636,11 @@ impl Kernel {
                 if local.is_empty() {
                     break;
                 }
-                note_fault(&mut pend, self.nested_fold(gen, acc, st, &mut local));
+                if let Some(NAcc::Slab(v)) = acc {
+                    write_slab_row(v, it as usize, gen.value.result, st);
+                } else {
+                    note_fault(&mut pend, self.nested_fold(gen, acc, st, &mut local));
+                }
             }
         }
         for (dst, acc) in cl.dsts.iter().zip(accs) {
@@ -1555,6 +1715,7 @@ impl Kernel {
                 fold_lanes(av, &st.cf[res.idx as usize], lanes, |x, y| apply_f(op, x, y));
                 None
             }
+            (NAcc::Slab(_), _) => unreachable!("collect rows are written, not folded"),
             _ => self.nested_fold_reducer(gen, a, st, lanes),
         }
     }
@@ -1621,7 +1782,41 @@ impl Kernel {
                     .expect("virtual reducer result");
                 pend
             }
+            NAcc::Slab(_) => unreachable!("collect rows are written, not folded"),
         }
+    }
+}
+
+/// The slab a nested `Collect` into `dst` fills this run: the register's
+/// previous slab resized to `size` rows (a no-op after the first block).
+/// `run_range_batched` bounds `size` by [`VEC_TRIP_CAP`] before any block.
+fn take_slab(dst: Reg, class: Class, size: i64, st: &mut BState) -> VVec {
+    let len = size.max(0) as usize;
+    let mut slab = match st.vv[dst.idx as usize].take() {
+        Some(v) => v.slab,
+        None => match class {
+            Class::I => VCol::I(Vec::new()),
+            Class::F => VCol::F(Vec::new()),
+            Class::B => VCol::B(Vec::new()),
+            Class::V => unreachable!("certified collect element is typed"),
+        },
+    };
+    match &mut slab {
+        VCol::I(s) => s.resize(len * BLOCK, 0),
+        VCol::F(s) => s.resize(len * BLOCK, 0.0),
+        VCol::B(s) => s.resize(len * BLOCK, false),
+    }
+    VVec { len, slab }
+}
+
+/// Copy iteration `it`'s value column into row `it` of the slab. All lanes
+/// are copied: inactive ones hold junk nothing downstream reads.
+fn write_slab_row(v: &mut VVec, it: usize, res: Reg, st: &BState) {
+    let row = it * BLOCK..(it + 1) * BLOCK;
+    match &mut v.slab {
+        VCol::I(s) => s[row].copy_from_slice(&st.ci[res.idx as usize][..BLOCK]),
+        VCol::F(s) => s[row].copy_from_slice(&st.cf[res.idx as usize][..BLOCK]),
+        VCol::B(s) => s[row].copy_from_slice(&st.cb[res.idx as usize][..BLOCK]),
     }
 }
 
@@ -1642,6 +1837,7 @@ fn write_nacc(dst: Reg, a: NAcc, st: &mut BState) {
         NAcc::F(v) => st.cf[dst.idx as usize] = v,
         NAcc::B(v) => st.cb[dst.idx as usize] = v,
         NAcc::V(comps) => st.cv[dst.idx as usize] = Some(comps),
+        NAcc::Slab(v) => st.vv[dst.idx as usize] = Some(v),
     }
 }
 
@@ -1964,12 +2160,19 @@ impl Kernel {
 // Accumulation
 // ---------------------------------------------------------------------------
 
+/// The virtual vector in `V` register `res` (certification guarantees a
+/// `V`-class generator result is one).
+fn vvec(st: &BState, res: Reg) -> &VVec {
+    st.vv[res.idx as usize].as_ref().expect("virtual vector register")
+}
+
 /// Append column lane `l` of register `res` to a collect buffer.
 fn push_lane(buf: &mut ColBuf, st: &BState, res: Reg, l: usize) {
     match (buf, res.class) {
         (ColBuf::I(v), Class::I) => v.push(st.ci[res.idx as usize][l]),
         (ColBuf::F(v), Class::F) => v.push(st.cf[res.idx as usize][l]),
         (ColBuf::B(v), Class::B) => v.push(st.cb[res.idx as usize][l]),
+        (ColBuf::V(v), Class::V) => v.push(vvec(st, res).lane_value(l)),
         _ => unreachable!("batched collect register class"),
     }
 }
@@ -1980,7 +2183,75 @@ fn lane_scalar(st: &BState, res: Reg, l: usize) -> Scalar {
         Class::I => Scalar::I(st.ci[res.idx as usize][l]),
         Class::F => Scalar::F(st.cf[res.idx as usize][l]),
         Class::B => Scalar::B(st.cb[res.idx as usize][l]),
-        Class::V => unreachable!("batched value class"),
+        Class::V => Scalar::V(vvec(st, res).lane_value(l)),
+    }
+}
+
+/// The in-place target of a lifted reducer step: the accumulated array's
+/// elements and the slab to fold into them.
+enum LiftAcc<'a> {
+    I(super::IOp, &'a mut [i64], &'a [i64]),
+    F(super::FOp, &'a mut [f64], &'a [f64]),
+}
+
+/// `Some` when folding `v`'s lanes into `cur` component-wise is exactly
+/// what the lifted reducer block computes: `cur` is a typed array of the
+/// slab's class whose length, the slab's, and the reducer's collect size
+/// all agree (so every `a(j)`/`b(j)` is in bounds and the result keeps its
+/// length and storage), and the arrays are non-empty (an empty collect
+/// seals `Boxed`, which in-place storage would not reproduce).
+fn lift_acc<'a>(
+    lift: LiftedRed,
+    cur: &'a mut Value,
+    v: &'a VVec,
+    scalar: &KState,
+) -> Option<LiftAcc<'a>> {
+    let Value::Arr(arr) = cur else { return None };
+    let n = arr.len();
+    let size = lift.size.map_or(n as i64, |r| scalar.ri[r as usize]);
+    if n == 0 || n != v.len || size != n as i64 {
+        return None;
+    }
+    match (lift.op, arr, &v.slab) {
+        (FastRed::I(op), ArrayVal::I64(a), VCol::I(s)) => {
+            Some(LiftAcc::I(op, Arc::make_mut(a).as_mut_slice(), s))
+        }
+        (FastRed::F(op), ArrayVal::F64(a), VCol::F(s)) => {
+            Some(LiftAcc::F(op, Arc::make_mut(a).as_mut_slice(), s))
+        }
+        _ => None,
+    }
+}
+
+impl LiftAcc<'_> {
+    /// Fold lanes `lanes[from..]` of every slab row into its component of
+    /// the accumulator, each component strictly in lane order.
+    fn fold_rows(self, lanes: &Lanes, from: usize) {
+        fn go<T: Copy>(acc: &mut [T], slab: &[T], lanes: &Lanes, from: usize, f: impl Fn(T, T) -> T) {
+            for (a, row) in acc.iter_mut().zip(slab.chunks_exact(BLOCK)) {
+                *a = match lanes {
+                    Lanes::Full => fold_slice(*a, &row[from..], &f),
+                    Lanes::Sel(s) => s[from..].iter().fold(*a, |c, &l| f(c, row[l as usize])),
+                };
+            }
+        }
+        match self {
+            LiftAcc::I(op, acc, slab) => go(acc, slab, lanes, from, |x, y| apply_i(op, x, y)),
+            LiftAcc::F(op, acc, slab) => go(acc, slab, lanes, from, |x, y| apply_f(op, x, y)),
+        }
+    }
+
+    /// Fold lane `l` of every slab row into its component.
+    fn fold_lane(self, l: usize) {
+        fn go<T: Copy>(acc: &mut [T], slab: &[T], l: usize, f: impl Fn(T, T) -> T) {
+            for (a, row) in acc.iter_mut().zip(slab.chunks_exact(BLOCK)) {
+                *a = f(*a, row[l]);
+            }
+        }
+        match self {
+            LiftAcc::I(op, acc, slab) => go(acc, slab, l, |x, y| apply_i(op, x, y)),
+            LiftAcc::F(op, acc, slab) => go(acc, slab, l, |x, y| apply_f(op, x, y)),
+        }
     }
 }
 
@@ -2083,6 +2354,12 @@ impl Kernel {
         bst: &mut BState,
         lanes: &Lanes,
     ) -> Result<(), (usize, EvalError)> {
+        // Faults in the value or key block may have emptied the lane set
+        // before the block finished: nothing to accumulate, and a virtual
+        // vector result may not exist yet.
+        if lanes.is_empty() {
+            return Ok(());
+        }
         let res = gen.value.result;
         match acc {
             KAcc::Col(buf) => {
@@ -2096,6 +2373,10 @@ impl Kernel {
                         }
                         (ColBuf::B(v), Class::B) => {
                             v.extend_from_slice(&bst.cb[res.idx as usize][..BLOCK]);
+                        }
+                        (ColBuf::V(v), Class::V) => {
+                            let vec = vvec(bst, res);
+                            v.extend((0..BLOCK).map(|l| vec.lane_value(l)));
                         }
                         _ => unreachable!("batched collect register class"),
                     },
@@ -2202,7 +2483,10 @@ impl Kernel {
                 *state = Some(next);
                 Ok(())
             }),
-            KAcc::RedV(_) => unreachable!("batched reduce of V class"),
+            KAcc::RedV(state) => {
+                let v = bst.vv[res.idx as usize].as_ref().expect("virtual vector register");
+                self.reduce_vec_lanes(gen, state, v, &mut bst.scalar, lanes)
+            }
             KAcc::BCol { keys, vals } => {
                 let kb = gen.key.as_ref().expect("bucket gen has key");
                 let kres = kb.result;
@@ -2226,6 +2510,7 @@ impl Kernel {
             KAcc::BRed { keys, vals } => {
                 let kb = gen.key.as_ref().expect("bucket gen has key");
                 let kres = kb.result;
+                let lifted = gen.lifted_red;
                 each_lane(lanes, |l| {
                     let slot = if kres.class == Class::I {
                         slot_dense(keys, &mut bst.dense[gi], bst.ci[kres.idx as usize][l])
@@ -2242,6 +2527,18 @@ impl Kernel {
                                 let x = bst.cf[res.idx as usize][l];
                                 v[s] = self.reduce_f(gen, v[s], x, &mut bst.scalar)?;
                             }
+                            // A lifted reducer folds in place when the
+                            // lengths agree; otherwise its block runs.
+                            (RedBuf::V(v), Class::V) => {
+                                let vec = vvec(bst, res);
+                                match lifted.and_then(|lr| lift_acc(lr, &mut v[s], vec, &bst.scalar)) {
+                                    Some(acc) => acc.fold_lane(l),
+                                    None => {
+                                        let (cur, x) = (v[s].clone(), vec.lane_value(l));
+                                        v[s] = self.reduce_v(gen, cur, x, &mut bst.scalar)?;
+                                    }
+                                }
+                            }
                             _ => {
                                 let cur = vals.get(s);
                                 let x = lane_scalar(bst, res, l);
@@ -2255,6 +2552,50 @@ impl Kernel {
                 })
             }
         }
+    }
+
+    /// Fold the active lanes (at least one) of virtual vector `v` into a
+    /// `Reduce` generator's boxed state, lane by lane like the scalar loop:
+    /// seed from the carried state, else the explicit identity, else the
+    /// first lane; then each step either runs the reducer block on that
+    /// lane's materialised array or — from the first step at which a
+    /// lifted reducer's lengths agree, after which they keep agreeing —
+    /// folds all remaining lanes component-wise in place.
+    fn reduce_vec_lanes(
+        &self,
+        gen: &CGen,
+        state: &mut Option<Value>,
+        v: &VVec,
+        scalar: &mut KState,
+        lanes: &Lanes,
+    ) -> Result<(), (usize, EvalError)> {
+        let (n, lane_at) = match lanes {
+            Lanes::Full => (BLOCK, None),
+            Lanes::Sel(s) => (s.len(), Some(s)),
+        };
+        let lane_at = |p: usize| lane_at.map_or(p, |s| s[p] as usize);
+        let mut pos = 0;
+        let mut cur = match (state.take(), gen.init) {
+            (Some(c), _) => c,
+            (None, Some(r)) => scalar.value_of(r),
+            (None, None) => {
+                pos = 1;
+                v.lane_value(lane_at(0))
+            }
+        };
+        while pos < n {
+            if let Some(acc) = gen.lifted_red.and_then(|lr| lift_acc(lr, &mut cur, v, scalar)) {
+                acc.fold_rows(lanes, pos);
+                break;
+            }
+            let l = lane_at(pos);
+            cur = self
+                .reduce_v(gen, cur, v.lane_value(l), scalar)
+                .map_err(|e| (l, e))?;
+            pos += 1;
+        }
+        *state = Some(cur);
+        Ok(())
     }
 
     /// Seed an integer fold exactly like the scalar loop: carry-over state,
@@ -2382,6 +2723,16 @@ impl Kernel {
         start: i64,
         end: i64,
     ) -> Result<Vec<KAcc>, EvalError> {
+        // Trip counts are loop-invariant, so the preamble already fixed how
+        // wide this run's virtual vectors are; an over-wide one declines
+        // the run before any slab exists.
+        if self
+            .vec_trips
+            .iter()
+            .any(|&r| bst.scalar.ri[r as usize] > VEC_TRIP_CAP as i64)
+        {
+            return self.run_range(&mut bst.scalar, start, end);
+        }
         for d in bst.dense.iter_mut() {
             d.epoch += 1;
         }

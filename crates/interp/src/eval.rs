@@ -112,6 +112,20 @@ pub struct RunReport {
     pub compiled_loops: u64,
     /// Top-level loops executed by the tree-walker.
     pub treewalk_loops: u64,
+    /// Compiled loops that ran block-at-a-time on the batched executor (a
+    /// subset of `compiled_loops`).
+    pub batched_loops: u64,
+}
+
+/// Which tier ran one top-level loop's whole range.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LoopTier {
+    TreeWalk,
+    /// A compiled kernel off the batched executor: scalar bytecode, the
+    /// scatter path, or native code.
+    Compiled,
+    /// A compiled kernel on the batched executor.
+    Batched,
 }
 
 /// Environment: one slot per symbol. Symbols are globally unique within a
@@ -297,20 +311,23 @@ impl<'p> Interp<'p> {
         env: &mut Env,
         report: &mut RunReport,
     ) -> Result<Vec<Value>, EvalError> {
-        let (vals, compiled) =
+        let (vals, tier) =
             self.eval_loop_tiered(ml, env, self.use_compiled, self.use_batched, self.use_native)?;
-        if compiled {
-            report.compiled_loops += 1;
-        } else {
-            report.treewalk_loops += 1;
+        match tier {
+            LoopTier::TreeWalk => report.treewalk_loops += 1,
+            LoopTier::Compiled => report.compiled_loops += 1,
+            LoopTier::Batched => {
+                report.compiled_loops += 1;
+                report.batched_loops += 1;
+            }
         }
         Ok(vals)
     }
 
     /// Run one top-level multiloop over its full range, compiled when
     /// `use_compiled` and the loop compiles, tree-walking otherwise. The
-    /// returned flag says which tier ran. Shared with the parallel
-    /// executor's small-loop path.
+    /// returned tier says what ran. Shared with the parallel executor's
+    /// small-loop path.
     pub(crate) fn eval_loop_tiered(
         &self,
         ml: &Multiloop,
@@ -318,7 +335,7 @@ impl<'p> Interp<'p> {
         use_compiled: bool,
         use_batched: bool,
         use_native: bool,
-    ) -> Result<(Vec<Value>, bool), EvalError> {
+    ) -> Result<(Vec<Value>, LoopTier), EvalError> {
         if use_compiled {
             let kernel = match &self.kernel_cache {
                 Some(cache) => cache.kernel_for(ml, env, self.fuse_fingerprint),
@@ -342,7 +359,7 @@ impl<'p> Interp<'p> {
                                 let dt = t0.elapsed();
                                 stats::record_native(size.max(0) as u64, dt);
                                 stats::record_compiled(size.max(0) as u64, dt);
-                                return Ok((vals, true));
+                                return Ok((vals, LoopTier::Compiled));
                             }
                             // Fault: fall through to batched, which
                             // reproduces the interpreter's exact outcome.
@@ -350,24 +367,33 @@ impl<'p> Interp<'p> {
                         Err(reason) => stats::record_native_fallback(reason.key()),
                     }
                 }
-                let vals = if use_batched && kernel.batchable {
-                    let mut bst = kernel.new_batched_state(env, &self.externs)?;
-                    let accs = kernel.run_range_batched(&mut bst, 0, size)?;
-                    let vals = kernel.seal_values(accs, &mut bst.scalar)?;
-                    stats::record_batched(size.max(0) as u64, t0.elapsed());
-                    vals
-                } else {
-                    if use_batched {
-                        if let Some(reason) = kernel.batch_reject {
-                            stats::record_batch_ineligible(reason);
-                        }
+                // A loop offered to the batched tier counts as ineligible
+                // only once the element loop really ran it: the scatter
+                // path serves its loops without one.
+                let note_element_loop = |st: &compile::KState| {
+                    if use_batched && st.element_loop_ran {
+                        stats::record_batch_ineligible(kernel.element_loop_reason());
                     }
+                };
+                let (vals, tier) = if use_batched && kernel.batchable {
+                    let mut bst = kernel.new_batched_state(env, &self.externs)?;
+                    let accs = kernel.run_range_batched(&mut bst, 0, size);
+                    note_element_loop(&bst.scalar);
+                    let vals = kernel.seal_values(accs?, &mut bst.scalar)?;
+                    if bst.scalar.element_loop_ran {
+                        (vals, LoopTier::Compiled)
+                    } else {
+                        stats::record_batched(size.max(0) as u64, t0.elapsed());
+                        (vals, LoopTier::Batched)
+                    }
+                } else {
                     let mut st = kernel.new_state(env, &self.externs)?;
-                    let accs = kernel.run_range(&mut st, 0, size)?;
-                    kernel.seal_values(accs, &mut st)?
+                    let accs = kernel.run_range(&mut st, 0, size);
+                    note_element_loop(&st);
+                    (kernel.seal_values(accs?, &mut st)?, LoopTier::Compiled)
                 };
                 stats::record_compiled(size.max(0) as u64, t0.elapsed());
-                return Ok((vals, true));
+                return Ok((vals, tier));
             }
         }
         let elements = self
@@ -378,7 +404,7 @@ impl<'p> Interp<'p> {
         let t0 = Instant::now();
         let vals = self.eval_loop(ml, env, 0, None)?;
         stats::record_treewalk(elements, t0.elapsed());
-        Ok((vals, false))
+        Ok((vals, LoopTier::TreeWalk))
     }
 
     pub(crate) fn eval_block(

@@ -85,7 +85,7 @@
 
 use crate::compile::{self, batch, KAcc, Kernel};
 use crate::error::{EvalError, ExecError};
-use crate::eval::{Acc, Env, Externs, Interp};
+use crate::eval::{Acc, Env, Externs, Interp, LoopTier};
 use crate::stats;
 use crate::value::{Key, Value};
 use dmll_core::visit::bound_syms;
@@ -480,17 +480,17 @@ fn supervised_on(
                     // Not worth splitting: run in place on whichever tier
                     // applies. Loop bodies only bind loop-local symbols, so
                     // no defensive clone of the environment is needed.
-                    let (out, compiled) = interp.eval_loop_tiered(
+                    let (out, tier) = interp.eval_loop_tiered(
                         ml,
                         &mut env,
                         options.use_compiled,
                         options.use_batched,
                         options.use_native,
                     )?;
-                    if compiled {
-                        report.compiled_loops += 1;
-                    } else {
+                    if tier == LoopTier::TreeWalk {
                         report.treewalk_loops += 1;
+                    } else {
+                        report.compiled_loops += 1;
                     }
                     out
                 } else {
@@ -760,6 +760,16 @@ enum KernelState {
     Batched(batch::BState),
 }
 
+/// What one loop's chunks observed, summed across workers and recovery.
+#[derive(Default)]
+struct ChunkTally {
+    /// Elements served by the native entry.
+    native_elems: AtomicU64,
+    /// Some chunk ran the element-at-a-time bytecode loop (not the batched
+    /// executor, the scatter path or native code).
+    element_loop: AtomicBool,
+}
+
 /// Execute one task's subrange on the compiled tier, scalar or batched.
 /// Fault recovery re-executes with the same kernel *and the same mode*, so
 /// recovered runs stay bit-identical to the fault-free ones.
@@ -771,7 +781,7 @@ fn execute_chunk_kernel(
     state: &mut Option<KernelState>,
     batched: bool,
     native: Option<&compile::native::NativeEntry>,
-    native_elems: &AtomicU64,
+    tally: &ChunkTally,
     range: (i64, i64),
     chunk_index: usize,
     injected: bool,
@@ -791,28 +801,32 @@ fn execute_chunk_kernel(
         // error or panic for that subrange.
         if let Some(entry) = native {
             if let Some(accs) = kernel.run_range_native(entry, env, range.0, range.1) {
-                native_elems.fetch_add((range.1 - range.0).max(0) as u64, Ordering::Relaxed);
+                tally
+                    .native_elems
+                    .fetch_add((range.1 - range.0).max(0) as u64, Ordering::Relaxed);
                 return Ok(accs);
             }
         }
-        match (batched, &mut *state) {
-            (true, Some(KernelState::Batched(bst))) => {
-                kernel.run_range_batched(bst, range.0, range.1)
-            }
-            (true, _) => {
-                let mut bst = kernel.new_batched_state(env, externs)?;
-                let accs = kernel.run_range_batched(&mut bst, range.0, range.1)?;
-                *state = Some(KernelState::Batched(bst));
-                Ok(accs)
-            }
-            (false, Some(KernelState::Scalar(st))) => kernel.run_range(st, range.0, range.1),
-            (false, _) => {
-                let mut st = kernel.new_state(env, externs)?;
-                let accs = kernel.run_range(&mut st, range.0, range.1)?;
-                *state = Some(KernelState::Scalar(st));
-                Ok(accs)
-            }
+        if !matches!(
+            (batched, &*state),
+            (true, Some(KernelState::Batched(_))) | (false, Some(KernelState::Scalar(_)))
+        ) {
+            *state = Some(if batched {
+                KernelState::Batched(kernel.new_batched_state(env, externs)?)
+            } else {
+                KernelState::Scalar(kernel.new_state(env, externs)?)
+            });
         }
+        let (accs, scalar) = match state.as_mut().expect("state built above") {
+            KernelState::Batched(bst) => {
+                (kernel.run_range_batched(bst, range.0, range.1), &bst.scalar)
+            }
+            KernelState::Scalar(st) => (kernel.run_range(st, range.0, range.1), &*st),
+        };
+        if scalar.element_loop_ran {
+            tally.element_loop.store(true, Ordering::Relaxed);
+        }
+        accs
     }));
     match outcome {
         Ok(Ok(accs)) => Ok(accs),
@@ -1348,11 +1362,6 @@ fn run_chunked(
     if let Some(kernel) = kernel {
         {
             let batched = options.use_batched && kernel.batchable;
-            if options.use_batched && !batched {
-                if let Some(reason) = kernel.batch_reject {
-                    stats::record_batch_ineligible(reason);
-                }
-            }
             // Native tier: chunks run the dlopen'd kernel when one is
             // available; each faulting chunk individually lands back on
             // the batched executor, which reproduces the exact outcome.
@@ -1367,7 +1376,7 @@ fn run_chunked(
             } else {
                 None
             };
-            let native_elems = AtomicU64::new(0);
+            let tally = ChunkTally::default();
             let t0 = Instant::now();
             let out = run_chunked_kernel(
                 &kernel,
@@ -1379,17 +1388,25 @@ fn run_chunked(
                 workers,
                 batched,
                 native,
-                &native_elems,
+                &tally,
                 options,
                 report,
-            )?;
+            );
+            // Counted once per loop, and only when the element loop really
+            // ran: the scatter path serves its chunks without one, and a
+            // certified kernel reaches it only by declining at run time.
+            let element_loop = tally.element_loop.load(Ordering::Relaxed);
+            if options.use_batched && element_loop {
+                stats::record_batch_ineligible(kernel.element_loop_reason());
+            }
+            let out = out?;
             let dt = t0.elapsed();
             stats::record_compiled(size.max(0) as u64, dt);
-            if batched {
+            if batched && !element_loop {
                 stats::record_batched(size.max(0) as u64, dt);
                 report.batched_loops += 1;
             }
-            let ne = native_elems.load(Ordering::Relaxed);
+            let ne = tally.native_elems.load(Ordering::Relaxed);
             if ne > 0 {
                 stats::record_native(ne, dt);
             }
@@ -1608,7 +1625,7 @@ fn run_chunked_kernel(
     workers: usize,
     batched: bool,
     native: Option<&compile::native::NativeEntry>,
-    native_elems: &AtomicU64,
+    tally: &ChunkTally,
     options: &ParallelOptions,
     report: &mut ExecReport,
 ) -> Result<Vec<Value>, ExecError> {
@@ -1644,7 +1661,7 @@ fn run_chunked_kernel(
                 state,
                 batched,
                 native,
-                native_elems,
+                tally,
                 range,
                 ci,
                 injected,
@@ -1671,7 +1688,7 @@ fn run_chunked_kernel(
             &mut retry_state,
             batched,
             native,
-            native_elems,
+            tally,
             range,
             ci,
             faults[ci].persistent,

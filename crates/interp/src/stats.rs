@@ -198,8 +198,8 @@ pub(crate) fn record_fusion(applied: u64, rejected: u64) {
     FUSION_REJECTED.fetch_add(rejected, Ordering::Relaxed);
 }
 
-/// A compiled loop that ran scalar because its kernel failed batch
-/// certification, with the typed reason from the certifier.
+/// A compiled loop, offered to the batched tier, that ran the element loop
+/// instead, with the certifier's (or the run-time decline's) typed reason.
 pub(crate) fn record_batch_ineligible(reason: BatchIneligible) {
     BATCH_INELIGIBLE.fetch_add(1, Ordering::Relaxed);
     *BATCH_REJECT_REASONS.lock().unwrap().entry(reason).or_insert(0) += 1;
@@ -360,8 +360,11 @@ pub struct TierTotals {
     pub fusion_applied: u64,
     /// Fusion candidates the cost model declined (per executed run).
     pub fusion_rejected: u64,
-    /// Compiled-loop executions that ran scalar because batch certification
-    /// rejected the kernel (see [`batch_reject_reasons`] for the why).
+    /// Compiled-loop executions offered to the batched tier that ran the
+    /// element-at-a-time bytecode loop instead: batch certification
+    /// rejected the kernel, or the run declined (see
+    /// [`batch_reject_reasons`] for the why). Loops the scatter path served
+    /// are not counted.
     pub batch_ineligible: u64,
     /// Top-level loops executed on the measured cluster data plane
     /// (directory-partitioned tasks over N simulated nodes).

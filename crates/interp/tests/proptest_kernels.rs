@@ -614,6 +614,370 @@ proptest! {
     }
 }
 
+// Differential tests for virtual vector columns: generators of all four
+// kinds whose element is a nested-`Collect` vector — the shape
+// Column-to-Row Reduce produces. The batched tier keeps such vectors as
+// `T x BLOCK` slabs and folds lifted reducers in place; everything it does
+// must equal the scalar bytecode loop and the tree-walker, values and
+// errors alike.
+
+/// Vector lengths: empty (seals `Boxed`), one, odd, and the apps' 16 with
+/// its neighbour.
+const VEC_TRIPS: [i64; 5] = [0, 1, 3, 16, 17];
+
+/// `trap` holds this many zeros; a planted fault reads past them.
+const TRAP_LEN: i64 = 4;
+
+/// One random vector-valued program, decoded from small integers (the
+/// stand-in proptest has no richer strategies).
+#[derive(Clone, Copy, Debug)]
+struct VecCase {
+    t: i64,
+    /// 0 = i64 (wrapping), 1 = f64, 2 = bool.
+    elem: usize,
+    /// 0 = Collect, 1 = Reduce, 2 = BucketCollect, 3 = BucketReduce.
+    kind: usize,
+    /// 0 = unconditional, 1 = mixed selection vector, 2 = all-false.
+    cond: usize,
+    /// 0 = `zip_with` lift (`collect(len(a))`), 1 = Column-to-Row's lift
+    /// (`collect(t)`), 2 = not element-wise (reads `b` back to front), 3 =
+    /// the lift over one element fewer (`collect(t - 1)`, hoisted).
+    red: usize,
+    /// 0 = none, 1 = `t` elements, 2 = two more, 3 = one fewer.
+    init: usize,
+    /// Follow the vector with a second one that reads it at a computed
+    /// index and takes its `len`.
+    post: bool,
+    key_shape: usize,
+    /// Two planted out-of-bounds reads: every lane `>= .0` faults at nested
+    /// iteration `.1`. The walker raises the first in (lane, iteration)
+    /// order; its index encodes which one that was.
+    faults: [(i64, i64); 2],
+}
+
+/// `(t, elem, kind)` indices for [`VecCase::decode`].
+const VEC_CASE_DIMS: (std::ops::Range<usize>, std::ops::Range<usize>, std::ops::Range<usize>) =
+    (0..5, 0..4, 0..6);
+
+impl VecCase {
+    /// Biased toward what the new paths are for: reducers over float
+    /// vectors on unconditioned (full-block) lanes.
+    fn decode(
+        (t, elem, kind): (usize, usize, usize),
+        (cond, red, init, post, key_shape): (usize, usize, usize, bool, usize),
+        faulty: bool,
+        at: (usize, usize, usize, usize),
+        n: usize,
+    ) -> VecCase {
+        let never = (i64::MAX, 0);
+        VecCase {
+            t: VEC_TRIPS[t],
+            elem: [0, 1, 1, 2][elem],
+            kind: [0, 1, 1, 2, 3, 3][kind],
+            cond: [0, 0, 1, 2][cond],
+            red,
+            init: [0, 1, 2, 2, 3][init],
+            post,
+            key_shape,
+            faults: if faulty {
+                [((at.0 % n) as i64, at.1 as i64), ((at.2 % n) as i64, at.3 as i64)]
+            } else {
+                [never, never]
+            },
+        }
+    }
+
+    fn elem_ty(&self) -> Ty {
+        [Ty::I64, Ty::F64, Ty::Bool][self.elem].clone()
+    }
+
+    /// Element `j` of lane `i`'s vector, from `x(i)`, `j` and the (zero)
+    /// value the fault probe read.
+    fn element(&self, st: &mut Stage, xi: &Val, j: &Val, probe: &Val) -> Val {
+        let a = st.add(xi, j);
+        let s = st.add(&a, probe);
+        match self.elem {
+            0 => {
+                let big = st.lit_i(i64::MAX / 3);
+                st.mul(&s, &big)
+            }
+            1 => {
+                let f = st.i2f(&s);
+                let c = st.lit_f(3.0);
+                st.div(&f, &c)
+            }
+            _ => {
+                let two = st.lit_i(2);
+                let r = st.rem(&s, &two);
+                let zero = st.lit_i(0);
+                st.eq(&r, &zero)
+            }
+        }
+    }
+
+    /// The scalar combine reducers lift (and `post` reuses).
+    fn combine(&self, st: &mut Stage, a: &Val, b: &Val) -> Val {
+        match self.elem {
+            0 if self.red == 1 => st.mul(a, b),
+            0 | 1 => st.add(a, b),
+            _ => st.and(a, b),
+        }
+    }
+
+    fn vector(&self, st: &mut Stage, x: &Val, t: &Val, trap: &Val, i: &Val) -> Val {
+        let xi = st.read(x, i);
+        let v = st.collect(t, |st, j| {
+            let mut hit = st.lit_b(false);
+            for (lane, it) in self.faults {
+                let (lane, it) = (st.lit_i(lane), st.lit_i(it));
+                let past = st.ge(i, &lane);
+                let now = st.eq(j, &it);
+                let both = st.and(&past, &now);
+                hit = st.or(&hit, &both);
+            }
+            let width = st.lit_i(64);
+            let row = st.mul(i, &width);
+            let cell = st.add(&row, j);
+            let base = st.lit_i(TRAP_LEN);
+            let beyond = st.add(&cell, &base);
+            let zero = st.lit_i(0);
+            let at = st.mux(&hit, &beyond, &zero);
+            let probe = st.read(trap, &at);
+            self.element(st, &xi, j, &probe)
+        });
+        if !self.post {
+            return v;
+        }
+        st.collect(t, |st, j| {
+            let one = st.lit_i(1);
+            let last = st.sub(t, &one);
+            let back = st.sub(&last, j);
+            let (a, b) = (st.read(&v, j), st.read(&v, &back));
+            let c = self.combine(st, &a, &b);
+            let l = st.len(&v);
+            match self.elem {
+                0 => st.add(&c, &l),
+                1 => {
+                    let lf = st.i2f(&l);
+                    st.sub(&c, &lf)
+                }
+                _ => {
+                    let same = st.eq(&l, t);
+                    st.and(&c, &same)
+                }
+            }
+        })
+    }
+
+    fn reducer(&self, st: &mut Stage, t: &Val, a: &Val, b: &Val) -> Val {
+        match self.red {
+            0 => st.zip_with(a, b, |st, x, y| self.combine(st, x, y)),
+            1 | 3 => {
+                let size = if self.red == 1 {
+                    t.clone()
+                } else {
+                    let one = st.lit_i(1);
+                    let zero = st.lit_i(0);
+                    let fewer = st.sub(t, &one);
+                    st.max(&fewer, &zero)
+                };
+                st.collect(&size, |st, j| {
+                    let (x, y) = (st.read(a, j), st.read(b, j));
+                    self.combine(st, &x, &y)
+                })
+            }
+            _ => {
+                let n = st.len(a);
+                st.collect(&n, |st, j| {
+                    let lb = st.len(b);
+                    let one = st.lit_i(1);
+                    let last = st.sub(&lb, &one);
+                    let back = st.sub(&last, j);
+                    let (x, y) = (st.read(a, j), st.read(b, &back));
+                    self.combine(st, &x, &y)
+                })
+            }
+        }
+    }
+
+    fn program(&self) -> dmll_core::Program {
+        type Cond<'a> = Option<Box<dyn FnOnce(&mut Stage, &Val) -> Val + 'a>>;
+        let mut st = Stage::new();
+        let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
+        let t = st.input("t", Ty::I64, LayoutHint::Local);
+        let trap = st.input("trap", Ty::arr(Ty::I64), LayoutHint::Local);
+        let init = (self.init != 0).then(|| st.input("init", Ty::arr(self.elem_ty()), LayoutHint::Local));
+        let n = st.len(&x);
+        let modulus = if self.cond == 1 { 3 } else { 1 };
+        let cond: Cond = match self.cond {
+            0 => None,
+            _ => Some(Box::new(|st: &mut Stage, i: &Val| {
+                let xi = st.read(&x, i);
+                let m = st.lit_i(modulus);
+                let r = st.rem(&xi, &m);
+                let zero = st.lit_i(0);
+                st.ne(&r, &zero)
+            })),
+        };
+        let key = |st: &mut Stage, i: &Val| {
+            let xi = st.read(&x, i);
+            shaped_key(st, &xi, 5, KEY_SHAPES[self.key_shape])
+        };
+        let value = |st: &mut Stage, i: &Val| self.vector(st, &x, &t, &trap, i);
+        let reducer = |st: &mut Stage, a: &Val, b: &Val| self.reducer(st, &t, a, b);
+        let out = match self.kind {
+            0 => match cond {
+                Some(c) => st.collect_if(&n, c, value),
+                None => st.collect(&n, value),
+            },
+            1 => st.reduce_if(&n, cond, value, reducer, init.as_ref()),
+            kind => {
+                let b = if kind == 2 {
+                    st.bucket_collect(&n, key, value)
+                } else {
+                    st.bucket_reduce_if(&n, cond, key, value, reducer, init.as_ref())
+                };
+                let (keys, vals) = (st.bucket_keys(&b), st.bucket_values(&b));
+                st.tuple(&[&keys, &vals])
+            }
+        };
+        st.finish(&out)
+    }
+
+    fn inputs(&self, data: Vec<i64>) -> Vec<(&'static str, Value)> {
+        let mut inputs = vec![
+            ("x", Value::i64_arr(data)),
+            ("t", Value::I64(self.t)),
+            ("trap", Value::i64_arr(vec![0; TRAP_LEN as usize])),
+        ];
+        if self.init != 0 {
+            let len = (self.t + [0, 0, 2, -1][self.init]).max(0) as usize;
+            let at = |k: usize| k as i64 * 7 - 3;
+            inputs.push((
+                "init",
+                match self.elem {
+                    0 => Value::i64_arr((0..len).map(at).collect()),
+                    1 => Value::f64_arr((0..len).map(|k| at(k) as f64 / 8.0).collect()),
+                    _ => Value::bool_arr((0..len).map(|k| k % 3 != 1).collect()),
+                },
+            ));
+        }
+        inputs
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Sequentially: the batched tier (fused and as written), the scalar
+    /// bytecode loop and the tree-walker agree on the value or on the
+    /// error, and a run that succeeds as written ran its one loop batched.
+    /// Half the ranges are cut to whole blocks: a scalar tail re-runs the
+    /// reducer block over every accumulator and would mask a wrong fold.
+    #[test]
+    fn batched_vector_generators_match_scalar_and_walker(
+        mut data in prop::collection::vec(-50i64..50, 900..2600),
+        whole_blocks in any::<bool>(),
+        dims in VEC_CASE_DIMS,
+        mods in (0usize..4, 0usize..4, 0usize..5, any::<bool>(), 0usize..KEY_SHAPES.len()),
+        faulty in any::<bool>(),
+        at in (0usize..4000, 0usize..17, 0usize..4000, 0usize..17),
+    ) {
+        if whole_blocks && data.len() >= 1024 {
+            data.truncate(data.len() / 1024 * 1024);
+        }
+        let case = VecCase::decode(dims, mods, faulty, at, data.len());
+        let p = case.program();
+        let inputs = case.inputs(data);
+        let walked = eval_tree_walk(&p, &inputs);
+        let scalar = Interp::new(&p).without_batched_tier().run(&inputs);
+        prop_assert_eq!(&scalar, &walked, "scalar bytecode vs tree-walker: {:?}", case);
+        let fused = Interp::new(&p).run(&inputs);
+        prop_assert_eq!(&fused, &walked, "batched (fused) vs tree-walker: {:?}", case);
+        let unfused = Interp::new(&p).without_fusion().run_report(&inputs);
+        if let Ok((_, report)) = &unfused {
+            prop_assert_eq!(
+                (report.compiled_loops, report.batched_loops),
+                (1, 1),
+                "the vector loop left the batched tier: {:?}",
+                case
+            );
+        }
+        prop_assert_eq!(unfused.map(|(v, _)| v), walked, "batched vs tree-walker: {:?}", case);
+    }
+
+    /// Through the work-stealing executor at one to four threads with
+    /// injected chunk faults: batched, scalar-kernel and tree-walking tasks
+    /// agree on the value or on the error.
+    #[test]
+    fn batched_vector_generators_survive_chunk_faults(
+        data in prop::collection::vec(-50i64..50, 1500..4000),
+        dims in VEC_CASE_DIMS,
+        mods in (0usize..4, 0usize..4, 0usize..5, any::<bool>(), 0usize..KEY_SHAPES.len()),
+        faulty in any::<bool>(),
+        at in (0usize..4000, 0usize..17, 0usize..4000, 0usize..17),
+        threads in 1usize..5,
+        fail_a in 0usize..6,
+        fail_b in 0usize..6,
+        panicking in any::<bool>(),
+    ) {
+        let case = VecCase::decode(dims, mods, faulty, at, data.len());
+        let p = case.program();
+        let inputs = case.inputs(data);
+        let mut faults = ChunkFaults::fail_once([fail_a, fail_b]);
+        if panicking {
+            faults = faults.panicking();
+        }
+        let opts = ParallelOptions::new(threads).with_faults(faults);
+        let batched = eval_parallel_report(&p, &inputs, &opts);
+        if let Ok((_, report)) = &batched {
+            prop_assert!(report.batched_loops >= 1, "no batched loop: {:?} {:?}", report, case);
+        }
+        let batched = batched.map(|(v, _)| v);
+        let scalar = eval_parallel_report(&p, &inputs, &opts.clone().scalar_kernel_only());
+        prop_assert_eq!(&batched, &scalar.map(|(v, _)| v), "batched vs scalar bytecode: {:?}", case);
+        let walked = eval_parallel_report(&p, &inputs, &opts.tree_walk_only());
+        prop_assert_eq!(batched, walked.map(|(v, _)| v), "batched vs tree-walker: {:?}", case);
+    }
+}
+
+/// A vector longer than the slab bound declines *that run* to the scalar
+/// loop with its own typed reason (no `T x BLOCK` allocation); at the bound
+/// the same program batches.
+#[test]
+fn over_wide_vectors_decline_to_the_scalar_loop() {
+    let never = (i64::MAX, 0);
+    let mut case = VecCase {
+        t: 256,
+        elem: 1,
+        kind: 1,
+        cond: 0,
+        red: 1,
+        init: 1,
+        post: false,
+        key_shape: 0,
+        faults: [never, never],
+    };
+    let p = case.program();
+    let data: Vec<i64> = (0..1100).map(|i| i * 7 % 23 - 11).collect();
+    let too_wide = |case: &VecCase| {
+        let reasons = dmll_interp::batch_reject_reasons();
+        let before = reasons.get(&dmll_interp::BatchIneligible::VectorTooWide).copied();
+        let inputs = case.inputs(data.clone());
+        let (got, report) = Interp::new(&p).without_fusion().run_report(&inputs).unwrap();
+        assert_eq!(got, eval_tree_walk(&p, &inputs).unwrap(), "t = {}", case.t);
+        let reasons = dmll_interp::batch_reject_reasons();
+        let after = reasons.get(&dmll_interp::BatchIneligible::VectorTooWide).copied();
+        (report, after.unwrap_or(0) - before.unwrap_or(0))
+    };
+    let (at_bound, declines) = too_wide(&case);
+    assert_eq!((at_bound.compiled_loops, at_bound.batched_loops, declines), (1, 1, 0));
+    case.t = 257;
+    let (beyond, declines) = too_wide(&case);
+    assert_eq!((beyond.compiled_loops, beyond.batched_loops), (1, 0));
+    assert!(declines >= 1, "the decline is counted under vector_too_wide");
+}
+
 /// Integer-keyed argmin rides the divide-and-conquer certificate onto
 /// region-granular tasks: selection by a total-ordered `i64` key is
 /// associative (consistent tie-break), so the sharded plane may use one
@@ -742,3 +1106,4 @@ fn mux_compiles_and_matches() {
     let walked = eval_tree_walk(&p, &inputs).unwrap();
     assert_eq!(compiled, walked);
 }
+
