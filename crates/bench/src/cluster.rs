@@ -15,7 +15,9 @@
 
 use crate::tiers::workloads_unfused;
 use dmll_interp::cluster::shuffle_step;
-use dmll_interp::{eval_cluster_measured, eval_parallel, ClusterOptions, ClusterReport, Value};
+use dmll_interp::{
+    eval_cluster_measured, eval_parallel, tier_totals, ClusterOptions, ClusterReport, Value,
+};
 use dmll_runtime::FaultPlan;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -43,16 +45,23 @@ pub struct ClusterRow {
     pub secs: f64,
     /// Wall time of the single-node batched reference.
     pub single_secs: f64,
+    /// Elements the tree-walker evaluated while the cluster ran: a delta of
+    /// the process-wide counter, so it is only this run's when nothing
+    /// else executes in the process (true of the bench binary, which gates
+    /// on it; not of a parallel test harness).
+    pub treewalk_elements: u64,
     /// What the data plane did.
     pub report: ClusterReport,
 }
 
 impl ClusterRow {
-    /// Does this row satisfy its gate? Baseline rows must be identical;
-    /// the node-kill row must additionally have observed the death and
-    /// recovered at least one shard via lineage.
+    /// Does this row satisfy its gate? Every row must be identical and
+    /// must report a kernel tier for every cluster loop; the node-kill row
+    /// must additionally have observed the death and recovered at least
+    /// one shard via lineage.
     pub fn ok(&self) -> bool {
         self.identical
+            && self.report.compiled_loops == self.report.cluster_loops
             && (self.scenario != "node_kill"
                 || (self.report.node_deaths >= 1 && self.report.lineage_recoveries >= 1))
     }
@@ -113,10 +122,12 @@ fn run_one(
     scenario: &'static str,
     opts: ClusterOptions,
 ) -> ClusterRow {
+    let walked_before = tier_totals().treewalk_elements;
     let t0 = Instant::now();
     let (value, report) =
         eval_cluster_measured(program, inputs, &opts).expect("measured cluster run");
     let secs = t0.elapsed().as_secs_f64();
+    let treewalk_elements = tier_totals().treewalk_elements - walked_before;
     ClusterRow {
         app,
         rows,
@@ -126,6 +137,7 @@ fn run_one(
         identical: &value == reference,
         secs,
         single_secs,
+        treewalk_elements,
         report,
     }
 }
@@ -176,7 +188,9 @@ pub fn to_json(rows: &[ClusterRow], scale: usize, threads: usize) -> String {
             out,
             "    {{\"app\": \"{}\", \"rows\": {}, \"nodes\": {}, \"scenario\": \"{}\", \
              \"identical\": {}, \"ok\": {}, \"secs\": {:.4}, \"single_node_secs\": {:.4}, \
-             \"cluster_loops\": {}, \"coordinator_loops\": {}, \"shuffles\": {}, \"tasks\": {}, \
+             \"cluster_loops\": {}, \"compiled_loops\": {}, \"batched_loops\": {}, \
+             \"treewalk_elements\": {}, \"coordinator_loops\": {}, \"shuffles\": {}, \
+             \"tasks\": {}, \
              \"staged_values\": {}, \"halo_exchanges\": {}, \"speculative_tasks\": {}, \
              \"lineage_recoveries\": {}, \"node_deaths\": {}, \"sends\": {}, \"send_bytes\": {}, \
              \"link_retries\": {}, \"network_nanos_model\": {}}}{}",
@@ -189,6 +203,9 @@ pub fn to_json(rows: &[ClusterRow], scale: usize, threads: usize) -> String {
             r.secs,
             r.single_secs,
             r.report.cluster_loops,
+            r.report.compiled_loops,
+            r.report.batched_loops,
+            r.treewalk_elements,
             r.report.coordinator_loops,
             r.report.shuffles,
             r.report.tasks,

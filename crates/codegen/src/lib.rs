@@ -4,14 +4,11 @@
 //!
 //! DMLL keeps each generator's condition / key / value / reduction functions
 //! separate precisely so that code generation can *recompose* them per
-//! target (§3.1). This crate demonstrates it with three source emitters:
+//! target (§3.1). This crate demonstrates it with two source emitters:
 //!
 //! * [`cpp`] — C++-flavoured code: a collect guards a buffer append with the
 //!   condition; buckets are maintained by **hashing** (`std::unordered_map`);
 //!   loops carry OpenMP parallel-for annotations.
-//! * [`scala`] — Scala-flavoured code for the JVM cluster comparison of
-//!   §6.2: `while`-loop accumulators, `java.util.HashMap` buckets, and
-//!   distributed-array annotations on partitioned inputs.
 //! * [`cuda`] — CUDA-flavoured code: a collect becomes **two phases**
 //!   (evaluate conditions and sizes up front, then scatter values to
 //!   precomputed offsets); scalar reductions use shared-memory trees;
@@ -30,7 +27,6 @@ pub mod cpp;
 pub mod cuda;
 mod exprs;
 pub mod native;
-pub mod scala;
 
 pub use cpp::{emit_cpp, emit_kernel_entry};
 pub use cuda::{emit_cuda, CudaError};
@@ -38,4 +34,3 @@ pub use native::{
     compile_and_load, find_compiler, NativeArr, NativeEntryFn, NativeGenOut, NativeIneligible,
     NativeLib, NativeVarTy,
 };
-pub use scala::emit_scala;

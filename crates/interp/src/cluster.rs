@@ -1,23 +1,27 @@
 //! Measured cluster execution: sharded multiloops over N simulated nodes.
 //!
-//! Each node is a thread with its own interpreter and persistent
-//! environment; nodes exchange state by message passing only, and every
-//! inter-node message is charged through the [`ClusterPlane`] network
-//! model (latency + bandwidth, seeded link flakes, capped-backoff
-//! retries). The coordinator stages inputs according to the analysis
-//! [`Placement`] plan (partitioned windows with halo exchange, or
-//! broadcast), dispatches directory-homed tasks, recovers shards lost to
-//! node deaths by lineage re-execution on survivors, speculates against
-//! stragglers, and drains a real shuffle phase for bucket generators.
+//! Each node is a thread with its own persistent environment; nodes
+//! exchange state by message passing only, and every inter-node message is
+//! charged through the [`ClusterPlane`] network model (latency +
+//! bandwidth, seeded link flakes, capped-backoff retries). The coordinator
+//! stages inputs according to the analysis [`Placement`] plan (partitioned
+//! windows with halo exchange, or broadcast), dispatches directory-homed
+//! tasks, recovers shards lost to node deaths by lineage re-execution on
+//! survivors, speculates against stragglers, and drains a real shuffle
+//! phase for bucket generators.
 //!
-//! Bit-identity with the single-node tiers is structural, not accidental:
-//! nodes execute tasks with the tree-walking interpreter over the *same*
-//! blind task plan as the single-node chunked executor, per-task
-//! accumulators fold in ascending task order through the same
-//! [`merge_pair`] merge, and shuffled buckets reassemble in global
-//! first-seen key order. The differential tests and the cluster chaos
-//! gate in `bench` pin this equality under injected node deaths, link
-//! flakes, and speculation.
+//! Bit-identity with the single-node tiers is structural, not accidental.
+//! A node is one more caller of the shared task runner ([`crate::task`]):
+//! the coordinator picks the kernel and the mode once per epoch exactly as
+//! the single-node chunked executor does, over the *same* blind task plan,
+//! and nodes run tasks through the same tier ladder under the same panic
+//! isolation. Plain generators' per-task accumulators come back and go
+//! through the same finish — one stitch by task id; shuffle owners merge
+//! typed bucket columns with the kernel's own merge in that stitch's
+//! operand order, and the buckets reassemble in global first-seen key
+//! order. The differential tests and the cluster chaos gate in `bench`
+//! pin this equality under injected node deaths, link flakes, and
+//! speculation.
 
 // Same contract as `parallel.rs`: `ExecError` embeds the partial
 // `ExecReport` inline in its abort variants, and the Err path only fires
@@ -25,10 +29,12 @@
 // an allocation and break the by-value contract.
 #![allow(clippy::result_large_err)]
 
+use crate::compile::{self, ColBuf, KAcc, Kernel, KeyIx, RedBuf};
 use crate::error::{EvalError, ExecError};
-use crate::eval::{Acc, Env, Interp};
-use crate::parallel::{interp_eval_size, loop_touched_slots, merge_pair, plan_tasks, ExecReport};
+use crate::eval::{Env, Externs, Interp, LoopTier};
+use crate::parallel::{interp_eval_size, loop_touched_slots, plan_tasks, ExecReport};
 use crate::stats;
+use crate::task::{execute_chunk_kernel, finish_gen, ChunkFailure, ChunkTally};
 use crate::value::{ArrayVal, Key, Value};
 use dmll_core::{Def, Gen, Multiloop, Program, Sym};
 use dmll_runtime::{
@@ -36,8 +42,9 @@ use dmll_runtime::{
     RetryPolicy, RuntimeError, SchedulePlan, SpeculationPolicy,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -181,6 +188,13 @@ pub struct ClusterReport {
     pub failed_sends: u64,
     /// Simulated nanoseconds charged for network transfers.
     pub network_nanos: u64,
+    /// Cluster loops whose tasks ran on a compiled kernel. Every epoch
+    /// does (a loop the compiler rejects runs on the coordinator instead),
+    /// so this equals `cluster_loops` on a successful run.
+    pub compiled_loops: u64,
+    /// Cluster loops every task of which ran block-at-a-time on the
+    /// batched executor (a subset of `compiled_loops`).
+    pub batched_loops: u64,
 }
 
 /// The injector step at which epoch `e` (the `e`-th cluster-executed
@@ -225,58 +239,49 @@ pub fn eval_cluster_measured(
 enum NodeMsg {
     /// Bind `value` into the node's persistent environment at `slot`.
     Stage { slot: usize, value: Value },
-    /// Run `tasks` of loop `loop_idx`; `patches` overlay staged slots for
-    /// speculative clones and lineage re-execution without clobbering the
-    /// node's own windows.
+    /// Run `tasks` of loop `loop_idx` on `kernel`, block-at-a-time when
+    /// `batched` — the coordinator picks both once per epoch, so every
+    /// node, clone and re-execution runs a task the same way. `patches`
+    /// overlay staged slots for speculative clones and lineage
+    /// re-execution without clobbering the node's own windows.
     Execute {
         loop_idx: usize,
+        kernel: Arc<Kernel>,
+        batched: bool,
         tasks: Vec<(usize, (i64, i64))>,
         patches: Vec<(usize, Value)>,
     },
-    /// Drain the shuffle for loop `loop_idx`: emit held accs for `emit`
-    /// tasks, exchange bucket items with `participants`, owner-merge, and
-    /// report to the coordinator.
+    /// Drain the shuffle for loop `loop_idx`: emit held accumulators for
+    /// `emit` tasks, exchange bucket columns with `participants`,
+    /// owner-merge with `kernel`'s reducers, and report to the coordinator.
     Shuffle {
         loop_idx: usize,
+        kernel: Arc<Kernel>,
         participants: Vec<usize>,
         emit: Vec<usize>,
     },
-    /// Bucket items hash-routed here by a shuffle peer. Tagged with the
-    /// loop so a fast peer's items, arriving before this node has even
+    /// Bucket columns hash-routed here by a shuffle peer. Tagged with the
+    /// loop so a fast peer's columns, arriving before this node has even
     /// processed its own `Shuffle` message, are buffered — not dropped —
-    /// and items from an aborted earlier epoch are discarded.
+    /// and columns from an aborted earlier epoch are discarded.
     Peer {
         loop_idx: usize,
-        items: Vec<PeerItem>,
+        parts: Vec<BucketColumns>,
     },
     /// Tear down the node thread.
     Shutdown,
 }
 
-/// One keyed bucket entry in flight between shuffle peers.
-struct PeerItem {
+/// Bucket entries of generator `gen` in flight, as typed columns: a bucket
+/// [`KAcc`] holding just these entries and, per entry, the `(task,
+/// position)` that first emitted it. Between shuffle peers it carries the
+/// entries of one task that hash to one owner, in emission order; from an
+/// owner to the coordinator, the keys that owner merged — the tags are
+/// what lets the coordinator rebuild global first-seen key order.
+struct BucketColumns {
     gen: usize,
-    task: usize,
-    pos: usize,
-    key: Value,
-    val: PeerVal,
-}
-
-/// Bucket payload: a reduced value or a collected run.
-#[derive(Clone)]
-enum PeerVal {
-    Reduced(Value),
-    Collected(Vec<Value>),
-}
-
-/// A key's merged state on its shuffle owner, tagged with the globally
-/// first task/position that emitted it so the coordinator can rebuild
-/// first-seen key order.
-struct MergedBucket {
-    key: Value,
-    val: PeerVal,
-    first_task: usize,
-    first_pos: usize,
+    acc: KAcc,
+    origin: Vec<(usize, usize)>,
 }
 
 /// A node-to-coordinator report. Every variant that can race across
@@ -286,29 +291,26 @@ struct MergedBucket {
 /// later epoch's task accounting.
 enum FromNode {
     /// Task `task` of loop `loop_idx` finished on `node` in `nanos`
-    /// simulated time.
+    /// simulated time; `element_loop` says the element-at-a-time bytecode
+    /// loop served some of it (the coordinator's tier accounting).
     MapDone {
         node: usize,
         loop_idx: usize,
         task: usize,
         nanos: u64,
+        element_loop: bool,
     },
-    /// Shuffle for loop `loop_idx` drained on `node`: plain per-task accs
-    /// it held, and merged buckets it owns, both keyed by generator index.
+    /// Shuffle for loop `loop_idx` drained on `node`: the plain
+    /// `(generator, task, accumulator)`s it held, and the buckets it owns.
     ShuffleDone {
         node: usize,
         loop_idx: usize,
-        plain: Vec<(usize, Vec<(usize, Acc)>)>,
-        merged: Vec<(usize, Vec<MergedBucket>)>,
+        plain: Vec<(usize, usize, KAcc)>,
+        merged: Vec<BucketColumns>,
     },
-    /// `node` hit an unrecoverable error.
-    Failed {
-        /// Reporting node; carried for protocol completeness (the typed
-        /// error itself already names the failing link or node).
-        #[allow(dead_code)]
-        node: usize,
-        error: NodeError,
-    },
+    /// A node hit an unrecoverable error (which itself names the failing
+    /// link, node or task).
+    Failed(NodeError),
 }
 
 /// Why a node failed.
@@ -363,13 +365,20 @@ fn cluster_on(
         }
         let (from_tx, from_rx) = channel::<FromNode>();
         for (k, rx) in inboxes.into_iter().enumerate() {
-            let peers = to_nodes.clone();
-            let coord = from_tx.clone();
-            let node_plane = plane.clone();
-            let watchdog = options.watchdog;
-            scope.spawn(move || {
-                node_main(k, program, fingerprint, rx, peers, coord, node_plane, watchdog);
-            });
+            let node = Node {
+                k,
+                env: vec![None; env.len()],
+                externs: interp.externs(),
+                held: BTreeMap::new(),
+                early_peers: Vec::new(),
+                rx,
+                peers: to_nodes.clone(),
+                coord: from_tx.clone(),
+                plane: plane.clone(),
+                watchdog: options.watchdog,
+                seq: (k as u64) << 48,
+            };
+            scope.spawn(move || node.run());
         }
         drop(from_tx);
         let out = drive(
@@ -404,8 +413,9 @@ fn cluster_on(
     Ok((value, report))
 }
 
-/// The coordinator's statement loop: small loops run in place, everything
-/// else becomes a cluster epoch.
+/// The coordinator's statement loop: loops too small to shard, and loops
+/// the kernel compiler rejects (there is no kernel to ship), run in place
+/// on the coordinator's tiers; everything else becomes a cluster epoch.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     interp: &Interp<'_>,
@@ -427,16 +437,18 @@ fn drive(
                     n if n <= 0 => 0,
                     n => n,
                 };
-                let vals = if size < threads as i64 * 4 {
-                    // Same threshold as the single-node supervised path:
-                    // not worth sharding, run on the coordinator's tiers.
-                    report.coordinator_loops += 1;
-                    let (out, _tier) = interp.eval_loop_tiered(ml, env, true, true, false)?;
-                    out
+                // Same threshold, and the same kernel on the full
+                // environment, as the single-node chunked executor.
+                let kernel = if size < threads as i64 * 4 {
+                    None
                 } else {
-                    run_epoch(
+                    compile::kernel_for(ml, env, interp.fuse_fingerprint())
+                };
+                let vals = match kernel {
+                    Some(kernel) => run_epoch(
                         interp,
                         ml,
+                        &kernel,
                         env,
                         loop_idx,
                         stmt.lhs.first().copied(),
@@ -447,7 +459,11 @@ fn drive(
                         to_nodes,
                         from_rx,
                         report,
-                    )?
+                    )?,
+                    None => {
+                        report.coordinator_loops += 1;
+                        interp.eval_loop_tiered(ml, env, true, true, false)?.0
+                    }
                 };
                 for (s, v) in stmt.lhs.iter().zip(vals) {
                     env[s.0 as usize] = Some(v);
@@ -455,7 +471,7 @@ fn drive(
                 loop_idx += 1;
             }
             other => {
-                let vals = interp.eval_def_owned(other, env)?;
+                let vals = interp.eval_def_internal(other, env)?;
                 for (s, v) in stmt.lhs.iter().zip(vals) {
                     env[s.0 as usize] = Some(v);
                 }
@@ -465,12 +481,29 @@ fn drive(
     Ok(interp.eval_exp(&program.body.result, env)?)
 }
 
+/// One wait on the coordinator's inbox: the next node report, or `None`
+/// on a poll tick. A node failure, the expired watchdog and a dead channel
+/// come back as the typed error that ends the epoch.
+fn next_report(
+    from_rx: &Receiver<FromNode>,
+    started_at: Instant,
+    options: &ClusterOptions,
+) -> Result<Option<FromNode>, ExecError> {
+    match from_rx.recv_timeout(POLL) {
+        Ok(FromNode::Failed(error)) => Err(node_error(error, started_at.elapsed(), options)),
+        Ok(report) => Ok(Some(report)),
+        Err(RecvTimeoutError::Timeout) if started_at.elapsed() < options.watchdog => Ok(None),
+        Err(_) => Err(deadline_error(started_at.elapsed(), options)),
+    }
+}
+
 /// Execute one multiloop as a cluster epoch: place, stage, dispatch,
 /// speculate, recover, shuffle, assemble.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch(
     interp: &Interp<'_>,
     ml: &Multiloop,
+    kernel: &Arc<Kernel>,
     env: &mut Env,
     loop_idx: usize,
     loop_sym: Option<Sym>,
@@ -486,15 +519,33 @@ fn run_epoch(
     // Epoch boundary: deaths scheduled for this step fire before placement
     // sees the cluster, so dead nodes are never primaries.
     injector.advance_step();
-    let dead: Vec<usize> = injector
-        .failed_nodes()
-        .into_iter()
-        .filter(|&n| n < nodes)
-        .collect();
+    // Dead nodes as of the injector's current step, and the replanner's
+    // avoid list built from them (dead first, then quarantined).
+    let dead_now = || -> Vec<usize> {
+        let mut dead = injector.failed_nodes();
+        dead.retain(|&n| n < nodes);
+        dead
+    };
+    let avoiding = |dead: &[usize]| -> Vec<usize> {
+        let mut avoid = dead.to_vec();
+        for &q in &options.quarantined {
+            if q < nodes && !avoid.contains(&q) {
+                avoid.push(q);
+            }
+        }
+        avoid
+    };
+    let dead = dead_now();
 
     let directory = plane.directory(size);
     let node_map = plane.node_map(size);
+    // The blind task plan and the mode, fixed once per epoch exactly as
+    // the single-node chunked executor fixes them: the plan (not the node
+    // count) decides fold order, and every execution of a task — primary,
+    // speculative clone, lineage re-execution — runs the same way.
     let tasks = plan_tasks(size, options.threads);
+    let batched = kernel.batchable;
+    let tally = ChunkTally::default();
 
     // Home every task on the node owning its range start, then route the
     // homes through the shared replanner so dead and quarantined nodes
@@ -512,12 +563,7 @@ fn run_epoch(
         aligned_to_data: true,
         reassigned_chunks: 0,
     };
-    let mut avoid: Vec<usize> = dead.clone();
-    for &q in &options.quarantined {
-        if q < nodes && !avoid.contains(&q) {
-            avoid.push(q);
-        }
-    }
+    let avoid = avoiding(&dead);
     let planned = homes
         .replan_avoiding(&avoid, &options.quarantined, plane.spec(), Some(&directory))
         .map_err(ExecError::from)?;
@@ -619,15 +665,35 @@ fn run_epoch(
             .map_err(ExecError::from)?;
         let _ = to_nodes[n].send(NodeMsg::Execute {
             loop_idx,
+            kernel: kernel.clone(),
+            batched,
             tasks: node_tasks[n].clone(),
             patches: Vec::new(),
         });
     }
     report.tasks += tasks.len() as u64;
 
+    // A speculative clone or a lineage re-execution: task `t` alone on
+    // `target`, with partition patches standing in for the windows that
+    // node was never staged.
+    let env_now: &Env = env;
+    let rerun = |t: usize, target: usize, seq: u64| -> Result<(), ExecError> {
+        let (patches, patch_bytes) = partition_patches(env_now, &reads, lplan, size, tasks[t]);
+        plane
+            .send(0, target, seq, 40 + patch_bytes)
+            .map_err(ExecError::from)?;
+        let _ = to_nodes[target].send(NodeMsg::Execute {
+            loop_idx,
+            kernel: kernel.clone(),
+            batched,
+            tasks: vec![(t, tasks[t])],
+            patches,
+        });
+        Ok(())
+    };
+
     // --- Ack loop with straggler speculation ---------------------------
     let started_at = Instant::now();
-    let deadline = started_at + options.watchdog;
     let mut acked: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
     let mut done = 0usize;
     let mut latencies: Vec<u64> = Vec::new();
@@ -635,39 +701,29 @@ fn run_epoch(
     let started: Vec<Instant> = vec![started_at; tasks.len()];
     let mut spec_cursor = 0usize;
     while done < tasks.len() {
-        match from_rx.recv_timeout(POLL) {
-            Ok(FromNode::MapDone {
-                node,
-                loop_idx: li,
-                task,
-                nanos,
-            }) => {
-                // A straggling clone from a previous epoch may ack here;
-                // counting it would let this epoch finish with a task that
-                // never actually ran.
-                if li == loop_idx && task < tasks.len() {
-                    if acked[task].is_empty() {
-                        done += 1;
-                        latencies.push(nanos);
-                        if spec_target[task] == Some(node) {
-                            report.speculation_wins += 1;
-                            stats::record_speculation_win();
-                        }
+        // A straggling clone from a previous epoch may ack here; counting
+        // it would let this epoch finish with a task that never ran.
+        if let Some(FromNode::MapDone {
+            node,
+            loop_idx: li,
+            task,
+            nanos,
+            element_loop,
+        }) = next_report(from_rx, started_at, options)?
+        {
+            if li == loop_idx && task < tasks.len() {
+                if acked[task].is_empty() {
+                    done += 1;
+                    latencies.push(nanos);
+                    if spec_target[task] == Some(node) {
+                        report.speculation_wins += 1;
+                        stats::record_speculation_win();
                     }
-                    acked[task].push(node);
                 }
-            }
-            Ok(FromNode::Failed { error, .. }) => {
-                return Err(node_error(error, started_at.elapsed(), options));
-            }
-            Ok(FromNode::ShuffleDone { .. }) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    return Err(deadline_error(started_at.elapsed(), options));
+                acked[task].push(node);
+                if element_loop {
+                    tally.element_loop.store(true, Ordering::Relaxed);
                 }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(deadline_error(started_at.elapsed(), options));
             }
         }
         if options.speculation.enabled && participants.len() > 1 {
@@ -690,17 +746,8 @@ fn run_epoch(
                     }
                     let target = candidates[spec_cursor % candidates.len()];
                     spec_cursor += 1;
-                    let (patches, patch_bytes) =
-                        partition_patches(env, &reads, lplan, size, tasks[t]);
                     seq += 1;
-                    plane
-                        .send(0, target, seq, 40 + patch_bytes)
-                        .map_err(ExecError::from)?;
-                    let _ = to_nodes[target].send(NodeMsg::Execute {
-                        loop_idx,
-                        tasks: vec![(t, tasks[t])],
-                        patches,
-                    });
+                    rerun(t, target, seq)?;
                     spec_target[t] = Some(target);
                     report.speculative_tasks += 1;
                     stats::record_speculation_launch();
@@ -711,11 +758,7 @@ fn run_epoch(
 
     // --- Pre-shuffle boundary: deaths fire, lost shards recover --------
     injector.advance_step();
-    let dead2: Vec<usize> = injector
-        .failed_nodes()
-        .into_iter()
-        .filter(|&n| n < nodes)
-        .collect();
+    let dead2 = dead_now();
     let survivors: Vec<usize> = participants
         .iter()
         .copied()
@@ -747,60 +790,34 @@ fn run_epoch(
             aligned_to_data: false,
             reassigned_chunks: 0,
         };
-        let mut avoid2: Vec<usize> = dead2.clone();
-        for &q in &options.quarantined {
-            if q < nodes && !avoid2.contains(&q) {
-                avoid2.push(q);
-            }
-        }
+        let avoid = avoiding(&dead2);
         let recovery = lost_plan
-            .replan_avoiding(&avoid2, &options.quarantined, plane.spec(), Some(&directory))
+            .replan_avoiding(&avoid, &options.quarantined, plane.spec(), Some(&directory))
             .map_err(ExecError::from)?;
         for (i, chunk) in recovery.chunks.iter().enumerate() {
             let t = lost[i];
-            let (patches, patch_bytes) = partition_patches(env, &reads, lplan, size, tasks[t]);
             seq += 1;
-            plane
-                .send(0, chunk.node, seq, 40 + patch_bytes)
-                .map_err(ExecError::from)?;
-            let _ = to_nodes[chunk.node].send(NodeMsg::Execute {
-                loop_idx,
-                tasks: vec![(t, tasks[t])],
-                patches,
-            });
+            rerun(t, chunk.node, seq)?;
         }
         report.lineage_recoveries += lost.len() as u64;
         stats::record_lineage_recoveries(lost.len() as u64);
         let mut pending: BTreeSet<usize> = lost.iter().copied().collect();
         while !pending.is_empty() {
-            match from_rx.recv_timeout(POLL) {
-                Ok(FromNode::MapDone {
-                    node,
-                    loop_idx: li,
-                    task,
-                    ..
-                }) => {
-                    if li != loop_idx {
-                        continue;
-                    }
-                    if pending.remove(&task) {
-                        holder[task] = Some(node);
-                    }
-                    if task < acked.len() {
-                        acked[task].push(node);
-                    }
+            if let Some(FromNode::MapDone {
+                node,
+                loop_idx: li,
+                task,
+                ..
+            }) = next_report(from_rx, started_at, options)?
+            {
+                if li != loop_idx {
+                    continue;
                 }
-                Ok(FromNode::Failed { error, .. }) => {
-                    return Err(node_error(error, started_at.elapsed(), options));
+                if pending.remove(&task) {
+                    holder[task] = Some(node);
                 }
-                Ok(FromNode::ShuffleDone { .. }) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return Err(deadline_error(started_at.elapsed(), options));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(deadline_error(started_at.elapsed(), options));
+                if task < acked.len() {
+                    acked[task].push(node);
                 }
             }
         }
@@ -832,448 +849,365 @@ fn run_epoch(
             .map_err(ExecError::from)?;
         let _ = to_nodes[n].send(NodeMsg::Shuffle {
             loop_idx,
+            kernel: kernel.clone(),
             participants: survivors.clone(),
             emit: emit[n].clone(),
         });
     }
 
-    let mut per_gen_plain: Vec<BTreeMap<usize, Acc>> =
+    let mut per_gen_plain: Vec<BTreeMap<usize, KAcc>> =
         (0..ml.gens.len()).map(|_| BTreeMap::new()).collect();
-    let mut merged_all: Vec<Vec<MergedBucket>> = (0..ml.gens.len()).map(|_| Vec::new()).collect();
+    let mut merged_all: Vec<Vec<BucketColumns>> =
+        (0..ml.gens.len()).map(|_| Vec::new()).collect();
     let mut waiting: BTreeSet<usize> = survivors.iter().copied().collect();
     while !waiting.is_empty() {
-        match from_rx.recv_timeout(POLL) {
-            Ok(FromNode::ShuffleDone {
-                node,
-                loop_idx: li,
-                plain,
-                merged,
-            }) => {
-                if li == loop_idx && waiting.remove(&node) {
-                    for (gi, accs) in plain {
-                        for (t, acc) in accs {
-                            per_gen_plain[gi].insert(t, acc);
-                        }
-                    }
-                    for (gi, mks) in merged {
-                        merged_all[gi].extend(mks);
-                    }
+        if let Some(FromNode::ShuffleDone {
+            node,
+            loop_idx: li,
+            plain,
+            merged,
+        }) = next_report(from_rx, started_at, options)?
+        {
+            if li == loop_idx && waiting.remove(&node) {
+                for (gi, t, acc) in plain {
+                    per_gen_plain[gi].insert(t, acc);
                 }
-            }
-            Ok(FromNode::MapDone { .. }) => {}
-            Ok(FromNode::Failed { error, .. }) => {
-                return Err(node_error(error, started_at.elapsed(), options));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    return Err(deadline_error(started_at.elapsed(), options));
+                for m in merged {
+                    merged_all[m.gen].push(m);
                 }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(deadline_error(started_at.elapsed(), options));
             }
         }
     }
 
     // --- Assemble ------------------------------------------------------
+    // The single-node finish: plain generators stitch their per-task
+    // accumulators in ascending task order; a bucket generator arrives
+    // already merged per key and is sealed as one accumulator.
+    let mut st = kernel.new_state(env, interp.externs())?;
     let mut outs = Vec::with_capacity(ml.gens.len());
     for (gi, gen) in ml.gens.iter().enumerate() {
-        let acc = if matches!(gen, Gen::BucketCollect { .. } | Gen::BucketReduce { .. }) {
-            let mut mks = std::mem::take(&mut merged_all[gi]);
-            // (first_task, first_pos) is the order a sequential walk first
-            // sees each key, so the rebuilt bucket order is bit-identical
-            // to the single-node tiers.
-            mks.sort_by_key(|m| (m.first_task, m.first_pos));
-            rebuild_acc(gen, mks)?
-        } else {
-            let mut folded: Option<Acc> = None;
-            for (_t, acc) in std::mem::take(&mut per_gen_plain[gi]) {
-                folded = Some(match folded {
-                    None => acc,
-                    Some(f) => merge_pair(interp, gen, f, acc, env)?,
-                });
-            }
-            folded.unwrap_or_else(|| Acc::for_gen(gen))
-        };
-        outs.push(interp.seal_acc_owned(gen, acc, env)?);
+        outs.push(
+            if matches!(gen, Gen::BucketCollect { .. } | Gen::BucketReduce { .. }) {
+                let mut owners = std::mem::take(&mut merged_all[gi]);
+                // (first_task, first_pos) is the order a sequential walk
+                // first sees each key, so the rebuilt bucket order is
+                // bit-identical to the single-node tiers.
+                let mut order: Vec<(usize, usize, usize, usize)> = Vec::new();
+                for (oi, m) in owners.iter().enumerate() {
+                    let slots = m.origin.iter().enumerate();
+                    order.extend(slots.map(|(slot, &(t, p))| (t, p, oi, slot)));
+                }
+                order.sort_unstable();
+                let mut acc = KAcc::for_gen(&kernel.gens[gi], 0);
+                for (_, _, oi, slot) in order {
+                    acc.push_bucket_from(&mut owners[oi].acc, slot)?;
+                }
+                finish_gen(kernel, gi, std::iter::once(acc), &mut st)?
+            } else {
+                let accs = std::mem::take(&mut per_gen_plain[gi]);
+                finish_gen(kernel, gi, accs.into_values(), &mut st)?
+            },
+        );
+    }
+    tally.note_ineligible(kernel, true);
+    report.compiled_loops += 1;
+    if tally.record_served(batched, size, started_at.elapsed()) == LoopTier::Batched {
+        report.batched_loops += 1;
     }
     Ok(outs)
 }
 
-/// The node thread: stage, execute, shuffle against its own interpreter
-/// and persistent environment. All cross-node data arrives by message;
-/// there is no shared mutable state between nodes.
-#[allow(clippy::too_many_arguments)]
-fn node_main(
+/// A node: a task worker whose queue is its inbox. It owns its staged
+/// environment and the accumulators of the tasks it ran; all cross-node
+/// data arrives by message, and there is no shared mutable state between
+/// nodes.
+struct Node<'a> {
     k: usize,
-    program: &Program,
-    fingerprint: u64,
+    env: Env,
+    externs: &'a Externs,
+    /// Task accumulators, keyed by (loop, task): a stale entry from a
+    /// superseded speculative run in one epoch must never be emitted as a
+    /// later epoch's result for the same task index.
+    held: BTreeMap<(usize, usize), Vec<KAcc>>,
+    /// Peer columns that raced ahead of our own Shuffle message; consumed
+    /// (and stale ones discarded) when the shuffle for their loop starts.
+    early_peers: Vec<(usize, Vec<BucketColumns>)>,
     rx: Receiver<NodeMsg>,
     peers: Vec<Sender<NodeMsg>>,
     coord: Sender<FromNode>,
     plane: ClusterPlane,
     watchdog: Duration,
-) {
-    let interp = Interp::new(program).with_fuse_fingerprint(fingerprint);
-    let mut env: Env = vec![None; program.next_sym_id() as usize];
-    let loops: Vec<&Multiloop> = program
-        .body
-        .stmts
-        .iter()
-        .filter_map(|s| match &s.def {
-            Def::Loop(ml) => Some(ml),
-            _ => None,
-        })
-        .collect();
-    // Task accumulators are keyed by (loop, task): a stale entry from a
-    // superseded speculative run in one epoch must never be emitted as a
-    // later epoch's result for the same task index.
-    let mut held: BTreeMap<(usize, usize), Vec<Acc>> = BTreeMap::new();
-    // Peer items that raced ahead of our own Shuffle message; consumed
-    // (and stale ones discarded) when the shuffle for their loop starts.
-    let mut early_peers: Vec<(usize, Vec<PeerItem>)> = Vec::new();
-    let mut seq: u64 = (k as u64) << 48;
-
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            NodeMsg::Stage { slot, value } => {
-                if slot < env.len() {
-                    env[slot] = Some(value);
-                }
-            }
-            NodeMsg::Execute {
-                loop_idx,
-                tasks,
-                patches,
-            } => {
-                let Some(ml) = loops.get(loop_idx).copied() else {
-                    let _ = coord.send(FromNode::Failed {
-                        node: k,
-                        error: NodeError::Eval(EvalError::TypeMismatch(
-                            "cluster execute references unknown loop".into(),
-                        )),
-                    });
-                    continue;
-                };
-                // Patched runs (speculation, recovery) overlay a clone so
-                // the node's own staged windows stay intact for its
-                // primary tasks.
-                let mut overlay;
-                let env_ref: &mut Env = if patches.is_empty() {
-                    &mut env
-                } else {
-                    overlay = env.clone();
-                    for (slot, v) in patches {
-                        if slot < overlay.len() {
-                            overlay[slot] = Some(v);
-                        }
-                    }
-                    &mut overlay
-                };
-                let mut failed = false;
-                for (t, (s, e)) in tasks {
-                    let t0 = Instant::now();
-                    match interp.eval_loop_accs_owned(ml, env_ref, s, Some(e)) {
-                        Ok(accs) => {
-                            held.insert((loop_idx, t), accs);
-                            let mut nanos = t0.elapsed().as_nanos() as u64;
-                            let slow = plane.injector().straggler_slowdown(k, 0, 0);
-                            if slow > 1.0 {
-                                let extra = (nanos as f64 * (slow - 1.0)) as u64;
-                                std::thread::sleep(Duration::from_nanos(
-                                    extra.min(STRAGGLER_SLEEP_CAP_NANOS),
-                                ));
-                                nanos = nanos.saturating_add(extra);
-                            }
-                            seq += 1;
-                            match plane.send(k, 0, seq, 32) {
-                                Ok(_) => {
-                                    let _ = coord.send(FromNode::MapDone {
-                                        node: k,
-                                        loop_idx,
-                                        task: t,
-                                        nanos,
-                                    });
-                                }
-                                Err(e) => {
-                                    let _ = coord.send(FromNode::Failed {
-                                        node: k,
-                                        error: NodeError::Runtime(e),
-                                    });
-                                    failed = true;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            let _ = coord.send(FromNode::Failed {
-                                node: k,
-                                error: NodeError::Eval(e),
-                            });
-                            failed = true;
-                        }
-                    }
-                    if failed {
-                        break;
-                    }
-                }
-            }
-            NodeMsg::Shuffle {
-                loop_idx,
-                participants,
-                emit,
-            } => {
-                let Some(ml) = loops.get(loop_idx).copied() else {
-                    let _ = coord.send(FromNode::Failed {
-                        node: k,
-                        error: NodeError::Eval(EvalError::TypeMismatch(
-                            "cluster shuffle references unknown loop".into(),
-                        )),
-                    });
-                    continue;
-                };
-                if !node_shuffle(
-                    k,
-                    &interp,
-                    ml,
-                    loop_idx,
-                    &mut env,
-                    &mut held,
-                    &mut early_peers,
-                    &participants,
-                    &emit,
-                    &peers,
-                    &coord,
-                    &plane,
-                    &rx,
-                    watchdog,
-                    &mut seq,
-                ) {
-                    // The failure was already reported; drain back to the
-                    // inbox loop and wait for Shutdown.
-                }
-                // Everything this loop held (including superseded
-                // speculative copies never emitted) is dead after its
-                // shuffle; epochs are serialized, so `<=` is safe.
-                held.retain(|&(li, _), _| li > loop_idx);
-                early_peers.retain(|&(li, _)| li > loop_idx);
-            }
-            NodeMsg::Peer { loop_idx, items } => {
-                // A peer got its Shuffle message first and raced its items
-                // here before ours arrived; hold them for that shuffle.
-                early_peers.push((loop_idx, items));
-            }
-            NodeMsg::Shutdown => return,
-        }
-    }
+    seq: u64,
 }
 
-/// Drain one shuffle on node `k`. Returns `false` after reporting a
-/// failure to the coordinator.
-#[allow(clippy::too_many_arguments)]
-fn node_shuffle(
-    k: usize,
-    interp: &Interp<'_>,
-    ml: &Multiloop,
-    loop_idx: usize,
-    env: &mut Env,
-    held: &mut BTreeMap<(usize, usize), Vec<Acc>>,
-    early_peers: &mut Vec<(usize, Vec<PeerItem>)>,
-    participants: &[usize],
-    emit: &[usize],
-    peers: &[Sender<NodeMsg>],
-    coord: &Sender<FromNode>,
-    plane: &ClusterPlane,
-    rx: &Receiver<NodeMsg>,
-    watchdog: Duration,
-    seq: &mut u64,
-) -> bool {
-    let n_parts = participants.len();
-    let fail = |error: NodeError| {
-        let _ = coord.send(FromNode::Failed { node: k, error });
-        false
-    };
-
-    // Partition held bucket entries by key owner; plain accs go straight
-    // to the coordinator.
-    let mut per_owner: Vec<Vec<PeerItem>> = (0..n_parts).map(|_| Vec::new()).collect();
-    let mut plain: Vec<(usize, Vec<(usize, Acc)>)> = (0..ml.gens.len())
-        .filter(|gi| {
-            !matches!(
-                ml.gens[*gi],
-                Gen::BucketCollect { .. } | Gen::BucketReduce { .. }
-            )
-        })
-        .map(|gi| (gi, Vec::new()))
-        .collect();
-    for &t in emit {
-        let Some(accs) = held.remove(&(loop_idx, t)) else {
-            return fail(NodeError::Eval(EvalError::TypeMismatch(
-                "cluster shuffle holder missing task accumulators".into(),
-            )));
-        };
-        for (gi, acc) in accs.into_iter().enumerate() {
-            match acc {
-                Acc::BucketReduce { keys, vals, .. } => {
-                    for (pos, (key, val)) in keys.into_iter().zip(vals).enumerate() {
-                        let oi = key_owner(&Key(key.clone()), n_parts);
-                        per_owner[oi].push(PeerItem {
-                            gen: gi,
-                            task: t,
-                            pos,
-                            key,
-                            val: PeerVal::Reduced(val),
-                        });
+impl Node<'_> {
+    /// The inbox loop. A failed phase is reported once; the node then
+    /// keeps serving its inbox until the coordinator shuts it down.
+    fn run(mut self) {
+        while let Ok(msg) = self.rx.recv() {
+            let outcome = match msg {
+                NodeMsg::Stage { slot, value } => {
+                    if slot < self.env.len() {
+                        self.env[slot] = Some(value);
+                    }
+                    Ok(())
+                }
+                NodeMsg::Execute {
+                    loop_idx,
+                    kernel,
+                    batched,
+                    tasks,
+                    patches,
+                } => self.execute(loop_idx, &kernel, batched, tasks, patches),
+                NodeMsg::Shuffle {
+                    loop_idx,
+                    kernel,
+                    participants,
+                    emit,
+                } => {
+                    let outcome = self.shuffle(loop_idx, &kernel, &participants, &emit);
+                    // Everything this loop held (including superseded
+                    // speculative copies never emitted) is dead after its
+                    // shuffle; epochs are serialized, so `<=` is safe.
+                    self.held.retain(|&(li, _), _| li > loop_idx);
+                    self.early_peers.retain(|&(li, _)| li > loop_idx);
+                    match outcome {
+                        Ok(true) => Ok(()),
+                        Ok(false) => return,
+                        Err(e) => Err(e),
                     }
                 }
-                Acc::BucketCollect { keys, vals, .. } => {
-                    for (pos, (key, val)) in keys.into_iter().zip(vals).enumerate() {
-                        let oi = key_owner(&Key(key.clone()), n_parts);
-                        per_owner[oi].push(PeerItem {
-                            gen: gi,
-                            task: t,
-                            pos,
-                            key,
-                            val: PeerVal::Collected(val),
-                        });
-                    }
+                NodeMsg::Peer { loop_idx, parts } => {
+                    // A peer got its Shuffle message first and raced its
+                    // columns here before ours arrived; hold them.
+                    self.early_peers.push((loop_idx, parts));
+                    Ok(())
                 }
-                other => {
-                    if let Some(slot) = plain.iter_mut().find(|(g, _)| *g == gi) {
-                        slot.1.push((t, other));
-                    }
-                }
+                NodeMsg::Shutdown => return,
+            };
+            if let Err(error) = outcome {
+                let _ = self.coord.send(FromNode::Failed(error));
             }
         }
     }
 
-    // Exchange: one Peer message to every participant (including
-    // ourselves, through the same charged path minus the network hop),
-    // then gather exactly one from each.
-    for (oi, items) in per_owner.into_iter().enumerate() {
-        let target = participants[oi];
-        let bytes: u64 = items
-            .iter()
-            .map(|it| 24 + value_bytes(&it.key) + peer_val_bytes(&it.val))
-            .sum();
-        *seq += 1;
-        match plane.send(k, target, *seq, bytes) {
-            Ok(_) => {
-                let _ = peers[target].send(NodeMsg::Peer { loop_idx, items });
-            }
-            Err(e) => return fail(NodeError::Runtime(e)),
-        }
+    /// Charge a `bytes`-sized message to `to` through the network model.
+    fn charge(&mut self, to: usize, bytes: u64) -> Result<(), NodeError> {
+        self.seq += 1;
+        self.plane
+            .send(self.k, to, self.seq, bytes)
+            .map(|_| ())
+            .map_err(NodeError::Runtime)
     }
-    let mut gathered: Vec<PeerItem> = Vec::new();
-    let mut received = 0usize;
-    // Items that beat our Shuffle message were buffered by the inbox
-    // loop; count the ones for this loop, discard older epochs'.
-    early_peers.retain_mut(|(li, items)| {
-        if *li == loop_idx {
-            gathered.append(items);
-            received += 1;
-            false
+
+    /// Run `tasks` through the shared task runner and hold their
+    /// accumulators. A task that panics is caught there and reported as
+    /// the typed error the single-node executor gives once its retries are
+    /// spent — a panic here is deterministic, so the node spends none.
+    fn execute(
+        &mut self,
+        loop_idx: usize,
+        kernel: &Kernel,
+        batched: bool,
+        tasks: Vec<(usize, (i64, i64))>,
+        patches: Vec<(usize, Value)>,
+    ) -> Result<(), NodeError> {
+        // Patched runs (speculation, recovery) overlay a clone so the
+        // node's own staged windows stay intact for its primary tasks.
+        let overlay;
+        let env = if patches.is_empty() {
+            &self.env
         } else {
-            *li > loop_idx
-        }
-    });
-    let deadline = Instant::now() + watchdog;
-    while received < n_parts {
-        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(NodeMsg::Peer { loop_idx: li, items }) => {
-                if li == loop_idx {
-                    gathered.extend(items);
-                    received += 1;
+            let mut patched = self.env.clone();
+            for (slot, v) in patches {
+                if slot < patched.len() {
+                    patched[slot] = Some(v);
                 }
-                // An older epoch's stragglers are dead data; drop them.
             }
-            Ok(NodeMsg::Shutdown) => return false,
-            Ok(_) => {
-                // The coordinator sends nothing else until the shuffle
-                // completes; tolerate and drop strays.
+            overlay = patched;
+            &overlay
+        };
+        // The register state binds free variables from `env` when it is
+        // built, so it lives for this message only.
+        let mut state = None;
+        let tally = ChunkTally::default();
+        for (t, range) in tasks {
+            let t0 = Instant::now();
+            let accs = execute_chunk_kernel(
+                kernel,
+                env,
+                self.externs,
+                &mut state,
+                batched,
+                None,
+                &tally,
+                range,
+                t,
+                false,
+                false,
+            )
+            .map_err(|failure| {
+                NodeError::Eval(match failure {
+                    ChunkFailure::Eval(e) => e,
+                    ChunkFailure::Died(message) => EvalError::ChunkRetriesExhausted {
+                        chunk: t,
+                        attempts: 1,
+                        message,
+                    },
+                })
+            })?;
+            self.held.insert((loop_idx, t), accs);
+            let mut nanos = t0.elapsed().as_nanos() as u64;
+            let slow = self.plane.injector().straggler_slowdown(self.k, 0, 0);
+            if slow > 1.0 {
+                let extra = (nanos as f64 * (slow - 1.0)) as u64;
+                std::thread::sleep(Duration::from_nanos(extra.min(STRAGGLER_SLEEP_CAP_NANOS)));
+                nanos = nanos.saturating_add(extra);
             }
-            Err(_) => return fail(NodeError::Stalled("shuffle peer exchange timed out")),
+            // (`charge` would borrow all of `self`; `env` may be `self.env`.)
+            self.seq += 1;
+            self.plane
+                .send(self.k, 0, self.seq, 32)
+                .map_err(NodeError::Runtime)?;
+            let _ = self.coord.send(FromNode::MapDone {
+                node: self.k,
+                loop_idx,
+                task: t,
+                nanos,
+                element_loop: tally.element_loop.load(Ordering::Relaxed),
+            });
         }
+        Ok(())
     }
 
-    // Owner-merge in deterministic (gen, task, pos) order, neutralizing
-    // mpsc arrival nondeterminism; per-key folds therefore happen in task
-    // order, matching the single-node pairwise chunk-order fold.
-    gathered.sort_by_key(|it| (it.gen, it.task, it.pos));
-    let mut merged: Vec<(usize, Vec<MergedBucket>)> = Vec::new();
-    let mut gi_start = 0usize;
-    while gi_start < gathered.len() {
-        let gi = gathered[gi_start].gen;
-        let mut end = gi_start;
-        while end < gathered.len() && gathered[end].gen == gi {
-            end += 1;
-        }
-        let mut index: HashMap<Key, usize> = HashMap::new();
-        let mut out: Vec<MergedBucket> = Vec::new();
-        for it in &gathered[gi_start..end] {
-            match index.get(&Key(it.key.clone())) {
-                Some(&slot) => {
-                    let cur = &mut out[slot];
-                    match (&mut cur.val, it.val.clone()) {
-                        (PeerVal::Reduced(c), PeerVal::Reduced(v)) => {
-                            let Some(reducer) = ml.gens[gi].reducer() else {
-                                return fail(NodeError::Eval(EvalError::TypeMismatch(
-                                    "bucket-reduce gen without reducer".into(),
-                                )));
-                            };
-                            match interp.eval_block_owned(reducer, &[c.clone(), v], env) {
-                                Ok(folded) => *c = folded,
-                                Err(e) => return fail(NodeError::Eval(e)),
-                            }
-                        }
-                        (PeerVal::Collected(c), PeerVal::Collected(v)) => {
-                            c.extend(v);
-                        }
-                        _ => {
-                            return fail(NodeError::Eval(EvalError::TypeMismatch(
-                                "mismatched bucket payloads across shuffle peers".into(),
-                            )));
-                        }
-                    }
+    /// Drain one shuffle. `Ok(false)` means the coordinator shut the node
+    /// down mid-exchange.
+    fn shuffle(
+        &mut self,
+        loop_idx: usize,
+        kernel: &Kernel,
+        participants: &[usize],
+        emit: &[usize],
+    ) -> Result<bool, NodeError> {
+        let n_parts = participants.len();
+
+        // Route held bucket entries to their key owners as typed columns;
+        // plain accumulators go straight to the coordinator.
+        let mut per_owner: Vec<Vec<BucketColumns>> = (0..n_parts).map(|_| Vec::new()).collect();
+        let mut plain: Vec<(usize, usize, KAcc)> = Vec::new();
+        for &t in emit {
+            let accs = self.held.remove(&(loop_idx, t)).ok_or_else(|| {
+                NodeError::Eval(EvalError::TypeMismatch(
+                    "cluster shuffle holder missing task accumulators".into(),
+                ))
+            })?;
+            for (gi, mut acc) in accs.into_iter().enumerate() {
+                if !matches!(acc, KAcc::BCol { .. } | KAcc::BRed { .. }) {
+                    plain.push((gi, t, acc));
+                    continue;
                 }
-                None => {
-                    index.insert(Key(it.key.clone()), out.len());
-                    out.push(MergedBucket {
-                        key: it.key.clone(),
-                        val: it.val.clone(),
-                        first_task: it.task,
-                        first_pos: it.pos,
+                let mut parts: Vec<Option<BucketColumns>> = (0..n_parts).map(|_| None).collect();
+                let mut pos = 0;
+                while let Some(key) = acc.bucket_key(pos) {
+                    let part = parts[key_owner(&Key(key), n_parts)].get_or_insert_with(|| {
+                        BucketColumns {
+                            gen: gi,
+                            acc: KAcc::for_gen(&kernel.gens[gi], 0),
+                            origin: Vec::new(),
+                        }
+                    });
+                    part.acc
+                        .push_bucket_from(&mut acc, pos)
+                        .map_err(NodeError::Eval)?;
+                    part.origin.push((t, pos));
+                    pos += 1;
+                }
+                for (oi, part) in parts.into_iter().enumerate() {
+                    per_owner[oi].extend(part);
+                }
+            }
+        }
+
+        // Exchange: one Peer message to every participant (including
+        // ourselves, through the same charged path minus the network hop),
+        // then gather exactly one from each.
+        for (oi, parts) in per_owner.into_iter().enumerate() {
+            let target = participants[oi];
+            self.charge(target, parts.iter().map(|p| wire_bytes(&p.acc)).sum())?;
+            let _ = self.peers[target].send(NodeMsg::Peer { loop_idx, parts });
+        }
+        let mut gathered: Vec<BucketColumns> = Vec::new();
+        let mut received = 0usize;
+        // Columns that beat our Shuffle message were buffered by the inbox
+        // loop; count the ones for this loop, discard older epochs'.
+        self.early_peers.retain_mut(|(li, parts)| {
+            if *li == loop_idx {
+                gathered.append(parts);
+                received += 1;
+                false
+            } else {
+                *li > loop_idx
+            }
+        });
+        let deadline = Instant::now() + self.watchdog;
+        while received < n_parts {
+            match self
+                .rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(NodeMsg::Peer { loop_idx: li, parts }) => {
+                    if li == loop_idx {
+                        gathered.extend(parts);
+                        received += 1;
+                    }
+                    // An older epoch's stragglers are dead data; drop them.
+                }
+                Ok(NodeMsg::Shutdown) => return Ok(false),
+                Ok(_) => {
+                    // The coordinator sends nothing else until the shuffle
+                    // completes; tolerate and drop strays.
+                }
+                Err(_) => return Err(NodeError::Stalled("shuffle peer exchange timed out")),
+            }
+        }
+
+        // Owner-merge with the kernel's own merge, incoming columns in
+        // ascending (generator, task) order and entries within one in
+        // position order: per key that is the `(accumulated, incoming)`
+        // operand sequence of the single-node stitch, whatever order the
+        // channel delivered the columns in.
+        gathered.sort_by_key(|p| (p.gen, p.origin[0].0));
+        let mut merged: Vec<BucketColumns> = Vec::new();
+        if !gathered.is_empty() {
+            let mut st = kernel
+                .new_state(&self.env, self.externs)
+                .map_err(NodeError::Eval)?;
+            for part in gathered {
+                if merged.last().map(|m| m.gen) != Some(part.gen) {
+                    merged.push(BucketColumns {
+                        gen: part.gen,
+                        acc: KAcc::for_gen(&kernel.gens[part.gen], 0),
+                        origin: Vec::new(),
                     });
                 }
+                let m = merged.last_mut().expect("pushed above");
+                let acc = std::mem::replace(&mut m.acc, KAcc::RedI(None));
+                m.acc = kernel
+                    .merge(part.gen, acc, part.acc, &mut st, |i| m.origin.push(part.origin[i]))
+                    .map_err(NodeError::Eval)?;
             }
         }
-        merged.push((gi, out));
-        gi_start = end;
-    }
 
-    let plain: Vec<(usize, Vec<(usize, Acc)>)> =
-        plain.into_iter().filter(|(_, v)| !v.is_empty()).collect();
-    let bytes: u64 = plain
-        .iter()
-        .flat_map(|(_, v)| v.iter())
-        .map(|(_, a)| acc_bytes(a))
-        .sum::<u64>()
-        + merged
-            .iter()
-            .flat_map(|(_, v)| v.iter())
-            .map(|m| 24 + value_bytes(&m.key) + peer_val_bytes(&m.val))
-            .sum::<u64>();
-    *seq += 1;
-    match plane.send(k, 0, *seq, bytes) {
-        Ok(_) => {
-            let _ = coord.send(FromNode::ShuffleDone {
-                node: k,
-                loop_idx,
-                plain,
-                merged,
-            });
-            true
-        }
-        Err(e) => fail(NodeError::Runtime(e)),
+        let bytes = plain.iter().map(|(_, _, a)| wire_bytes(a)).sum::<u64>()
+            + merged.iter().map(|m| wire_bytes(&m.acc)).sum::<u64>();
+        self.charge(0, bytes)?;
+        let _ = self.coord.send(FromNode::ShuffleDone {
+            node: self.k,
+            loop_idx,
+            plain,
+            merged,
+        });
+        Ok(true)
     }
 }
 
@@ -1284,47 +1218,6 @@ fn key_owner(key: &Key, participants: usize) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() % participants.max(1) as u64) as usize
-}
-
-/// Rebuild a bucket accumulator from globally ordered merged buckets.
-fn rebuild_acc(gen: &Gen, mks: Vec<MergedBucket>) -> Result<Acc, EvalError> {
-    match gen {
-        Gen::BucketReduce { .. } => {
-            let mut keys = Vec::with_capacity(mks.len());
-            let mut vals = Vec::with_capacity(mks.len());
-            let mut index = HashMap::with_capacity(mks.len());
-            for m in mks {
-                let PeerVal::Reduced(v) = m.val else {
-                    return Err(EvalError::TypeMismatch(
-                        "collected payload in bucket-reduce shuffle".into(),
-                    ));
-                };
-                index.insert(Key(m.key.clone()), keys.len());
-                keys.push(m.key);
-                vals.push(v);
-            }
-            Ok(Acc::BucketReduce { keys, vals, index })
-        }
-        Gen::BucketCollect { .. } => {
-            let mut keys = Vec::with_capacity(mks.len());
-            let mut vals = Vec::with_capacity(mks.len());
-            let mut index = HashMap::with_capacity(mks.len());
-            for m in mks {
-                let PeerVal::Collected(v) = m.val else {
-                    return Err(EvalError::TypeMismatch(
-                        "reduced payload in bucket-collect shuffle".into(),
-                    ));
-                };
-                index.insert(Key(m.key.clone()), keys.len());
-                keys.push(m.key);
-                vals.push(v);
-            }
-            Ok(Acc::BucketCollect { keys, vals, index })
-        }
-        _ => Err(EvalError::TypeMismatch(
-            "shuffle merge for a non-bucket generator".into(),
-        )),
-    }
 }
 
 /// Partition patches for one task range: the windows a survivor needs to
@@ -1433,30 +1326,38 @@ fn array_bytes(arr: &ArrayVal) -> u64 {
     }
 }
 
-/// Estimated wire size of an accumulator in flight to the coordinator.
-fn acc_bytes(acc: &Acc) -> u64 {
-    match acc {
-        Acc::Collect(vs) => 8 + vs.iter().map(value_bytes).sum::<u64>(),
-        Acc::Reduce(v) => 8 + v.as_ref().map_or(0, value_bytes),
-        Acc::BucketCollect { keys, vals, .. } => {
-            keys.iter().map(value_bytes).sum::<u64>()
-                + vals
-                    .iter()
-                    .map(|v| v.iter().map(value_bytes).sum::<u64>())
-                    .sum::<u64>()
-        }
-        Acc::BucketReduce { keys, vals, .. } => {
-            keys.iter().map(value_bytes).sum::<u64>()
-                + vals.iter().map(value_bytes).sum::<u64>()
+/// Estimated wire size of a typed accumulator: its buffers at their
+/// element width, 8 bytes of header per collect buffer or reduce state, and
+/// 24 bytes of routing tag per bucket entry.
+fn wire_bytes(acc: &KAcc) -> u64 {
+    fn col(buf: &ColBuf) -> u64 {
+        8 + match buf {
+            ColBuf::I(v) => 8 * v.len() as u64,
+            ColBuf::F(v) => 8 * v.len() as u64,
+            ColBuf::B(v) => v.len() as u64,
+            ColBuf::V(v) => v.iter().map(value_bytes).sum(),
         }
     }
-}
-
-/// Estimated wire size of a bucket payload.
-fn peer_val_bytes(v: &PeerVal) -> u64 {
-    match v {
-        PeerVal::Reduced(v) => value_bytes(v),
-        PeerVal::Collected(vs) => 8 + vs.iter().map(value_bytes).sum::<u64>(),
+    let keys = |keys: &KeyIx| match keys {
+        KeyIx::I { keys, .. } => 32 * keys.len() as u64,
+        KeyIx::V { keys, .. } => keys.iter().map(|k| 24 + value_bytes(k)).sum(),
+    };
+    match acc {
+        KAcc::Col(buf) => col(buf),
+        KAcc::RedI(v) => 8 + 8 * u64::from(v.is_some()),
+        KAcc::RedF(v) => 8 + 8 * u64::from(v.is_some()),
+        KAcc::RedB(v) => 8 + u64::from(v.is_some()),
+        KAcc::RedV(v) => 8 + v.as_ref().map_or(0, value_bytes),
+        KAcc::BCol { keys: k, vals } => keys(k) + vals.iter().map(col).sum::<u64>(),
+        KAcc::BRed { keys: k, vals } => {
+            keys(k)
+                + match vals {
+                    RedBuf::I(v) => 8 * v.len() as u64,
+                    RedBuf::F(v) => 8 * v.len() as u64,
+                    RedBuf::B(v) => v.len() as u64,
+                    RedBuf::V(v) => v.iter().map(value_bytes).sum(),
+                }
+        }
     }
 }
 
@@ -1642,6 +1543,42 @@ mod tests {
             )) => {}
             other => panic!("expected a typed link failure, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cluster_panicking_task_surfaces_typed_error_inside_the_watchdog() {
+        // `i64::MIN / -1` panics inside the kernel. The shared task wrapper
+        // catches it on the node; the caller gets the single-node
+        // executor's typed error at once, not a watchdog expiry followed
+        // by an unwinding scope join.
+        let mut st = Stage::new();
+        let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
+        let negated = st.map(&x, |st, e| {
+            let minus_one = st.lit_i(-1);
+            st.div(e, &minus_one)
+        });
+        let total = st.sum(&negated);
+        let p = st.finish(&total);
+        let mut data: Vec<i64> = (0..2000).collect();
+        data[1234] = i64::MIN;
+        let inputs = [("x", Value::i64_arr(data))];
+        let Err(EvalError::ChunkRetriesExhausted { message: single, .. }) =
+            eval_parallel(&p, &inputs, 2)
+        else {
+            panic!("single-node executor reports the panic as a typed error");
+        };
+        let t0 = Instant::now();
+        match eval_cluster_measured(&p, &inputs, &ClusterOptions::new(4, 2)) {
+            Err(ExecError::Eval(EvalError::ChunkRetriesExhausted { message, .. })) => {
+                assert_eq!(message, single);
+            }
+            other => panic!("expected the typed task failure, got {other:?}"),
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "typed failure arrives well inside the 60 s watchdog: {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

@@ -801,6 +801,49 @@ impl KAcc {
             },
         }
     }
+
+    /// The key of bucket entry `slot`, boxed; `None` past the last entry.
+    pub(crate) fn bucket_key(&self, slot: usize) -> Option<Value> {
+        match self {
+            KAcc::BCol { keys, .. } | KAcc::BRed { keys, .. } => match keys {
+                KeyIx::I { keys, .. } => keys.get(slot).copied().map(Value::I64),
+                KeyIx::V { keys, .. } => keys.get(slot).cloned(),
+            },
+            _ => None,
+        }
+    }
+
+    /// Move bucket entry `slot` of `src` (its key and its typed value) to
+    /// the end of `self`, an accumulator of the same generator; `src` keeps
+    /// a hollow entry. The key is appended without a lookup and the hash
+    /// index is not maintained: the cluster shuffle builds accumulators
+    /// this way only from entries it knows are distinct, and only to be
+    /// read back in order — as the incoming side of [`Kernel::merge`] or
+    /// by the seal — never to be merged *into*.
+    pub(crate) fn push_bucket_from(
+        &mut self,
+        src: &mut KAcc,
+        slot: usize,
+    ) -> Result<(), EvalError> {
+        let mismatch = || EvalError::TypeMismatch("mismatched bucket accumulators".into());
+        let (keys, src_keys) = match (&mut *self, &mut *src) {
+            (KAcc::BCol { keys, vals }, KAcc::BCol { keys: sk, vals: sv }) => {
+                vals.push(std::mem::replace(&mut sv[slot], ColBuf::V(Vec::new())));
+                (keys, sk)
+            }
+            (KAcc::BRed { keys, vals }, KAcc::BRed { keys: sk, vals: sv }) => {
+                vals.push(sv.get(slot))?;
+                (keys, sk)
+            }
+            _ => return Err(mismatch()),
+        };
+        match (keys, src_keys) {
+            (KeyIx::I { keys, .. }, KeyIx::I { keys: sk, .. }) => keys.push(sk[slot]),
+            (KeyIx::V { keys, .. }, KeyIx::V { keys: sk, .. }) => keys.push(sk[slot].clone()),
+            _ => return Err(mismatch()),
+        }
+        Ok(())
+    }
 }
 
 /// Build a direct-indexed slot table covering every typed bucket key in
@@ -1047,6 +1090,7 @@ impl Kernel {
     }
 
     /// Seal top-level accumulators into output values, one per generator.
+    #[cfg(test)]
     pub(crate) fn seal_values(
         &self,
         accs: Vec<KAcc>,
@@ -1103,8 +1147,6 @@ impl Kernel {
         })
     }
 
-    /// Merge two chunk accumulators for generator `gi`, `a` from the earlier
-    /// chunk — exactly the tree-walking executor's `merge_pair` semantics.
     /// True when every top-level generator's merge is *exactly*
     /// associative, so regrouping chunk boundaries cannot change the
     /// output bit pattern: collects concatenate contiguous subranges in
@@ -1143,7 +1185,19 @@ impl Kernel {
         })
     }
 
-    fn merge(&self, gi: usize, a: KAcc, b: KAcc, st: &mut KState) -> Result<KAcc, EvalError> {
+    /// Merge two task accumulators for generator `gi`, `a` from the earlier
+    /// task — the tree-walking executor's `merge_pair` semantics on typed
+    /// buffers. `on_new(i)` reports each bucket entry `i` of `b` whose key
+    /// `a` had not seen (the cluster shuffle tags those with where they
+    /// were first emitted).
+    pub(crate) fn merge(
+        &self,
+        gi: usize,
+        a: KAcc,
+        b: KAcc,
+        st: &mut KState,
+        mut on_new: impl FnMut(usize),
+    ) -> Result<KAcc, EvalError> {
         let gen = &self.gens[gi];
         Ok(match (a, b) {
             (KAcc::Col(mut x), KAcc::Col(y)) => {
@@ -1179,10 +1233,13 @@ impl Kernel {
                     keys: bk, vals: bv, ..
                 },
             ) => {
-                for (k, v) in bk.key_values().into_iter().zip(bv) {
+                for (i, (k, v)) in bk.key_values().into_iter().zip(bv).enumerate() {
                     match keys.slot_of_value(&k) {
                         Ok(slot) => vals[slot].extend(v)?,
-                        Err(_new) => vals.push(v),
+                        Err(_new) => {
+                            vals.push(v);
+                            on_new(i);
+                        }
                     }
                 }
                 KAcc::BCol { keys, vals }
@@ -1206,7 +1263,10 @@ impl Kernel {
                             let next = self.reduce_scalar(gen, cur, v, st)?;
                             vals.set(slot, next)?;
                         }
-                        Err(_new) => vals.push(v)?,
+                        Err(_new) => {
+                            vals.push(v)?;
+                            on_new(ki);
+                        }
                     }
                 }
                 KAcc::BRed { keys, vals }
@@ -1369,7 +1429,7 @@ impl Kernel {
         let mut it = accs.into_iter();
         let mut merged = it.next().ok_or(EvalError::EmptyReduce)?;
         for acc in it {
-            merged = self.merge(gi, merged, acc, st)?;
+            merged = self.merge(gi, merged, acc, st, |_| {})?;
         }
         Ok(merged)
     }
@@ -3736,7 +3796,7 @@ mod tests {
             .into_iter()
             .zip(b)
             .enumerate()
-            .map(|(i, (x, y))| k.merge(i, x, y, &mut st).unwrap())
+            .map(|(i, (x, y))| k.merge(i, x, y, &mut st, |_| {}).unwrap())
             .collect();
         let vals = k.seal_values(merged, &mut st).unwrap();
         assert_eq!(vals, vec![Value::F64(30.0)]);

@@ -2,7 +2,7 @@
 
 use crate::error::EvalError;
 use crate::value::{ArrayVal, BucketsVal, Key, StructVal, Value};
-use crate::{compile, fuse, stats};
+use crate::{compile, fuse, stats, task};
 use dmll_core::{Block, Const, Def, Exp, Gen, MathFn, Multiloop, PrimOp, Program};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -347,53 +347,39 @@ impl<'p> Interp<'p> {
                     .as_i64()
                     .ok_or_else(|| EvalError::TypeMismatch("loop size".into()))?;
                 let t0 = Instant::now();
-                // Native tier: only offered batch-certified loops, so a
-                // runtime fault (or decline) always has the batched path
-                // below to land on.
-                if use_native && use_batched && kernel.batchable {
-                    match kernel.native_entry(ml, env) {
-                        Ok(entry) => {
-                            if let Some(accs) = kernel.run_range_native(entry, env, 0, size) {
-                                let mut st = kernel.new_state(env, &self.externs)?;
-                                let vals = kernel.seal_values(accs, &mut st)?;
-                                let dt = t0.elapsed();
-                                stats::record_native(size.max(0) as u64, dt);
-                                stats::record_compiled(size.max(0) as u64, dt);
-                                return Ok((vals, LoopTier::Compiled));
-                            }
-                            // Fault: fall through to batched, which
-                            // reproduces the interpreter's exact outcome.
-                        }
-                        Err(reason) => stats::record_native_fallback(reason.key()),
-                    }
-                }
-                // A loop offered to the batched tier counts as ineligible
-                // only once the element loop really ran it: the scatter
-                // path serves its loops without one.
-                let note_element_loop = |st: &compile::KState| {
-                    if use_batched && st.element_loop_ran {
-                        stats::record_batch_ineligible(kernel.element_loop_reason());
+                // The whole range is one task: the same ladder and the same
+                // finish as the chunked executors, without their isolation.
+                let batched = use_batched && kernel.batchable;
+                let native = task::native_for(&kernel, ml, env, use_native && batched);
+                let tally = task::ChunkTally::default();
+                let mut state = None;
+                let accs = task::run_task(
+                    &kernel,
+                    env,
+                    &self.externs,
+                    &mut state,
+                    batched,
+                    native,
+                    &tally,
+                    (0, size),
+                );
+                tally.note_ineligible(&kernel, use_batched);
+                let accs = accs?;
+                // A natively served loop built no state; sealing needs one.
+                let mut fresh;
+                let st = match &mut state {
+                    Some(state) => state.scalar_mut(),
+                    None => {
+                        fresh = kernel.new_state(env, &self.externs)?;
+                        &mut fresh
                     }
                 };
-                let (vals, tier) = if use_batched && kernel.batchable {
-                    let mut bst = kernel.new_batched_state(env, &self.externs)?;
-                    let accs = kernel.run_range_batched(&mut bst, 0, size);
-                    note_element_loop(&bst.scalar);
-                    let vals = kernel.seal_values(accs?, &mut bst.scalar)?;
-                    if bst.scalar.element_loop_ran {
-                        (vals, LoopTier::Compiled)
-                    } else {
-                        stats::record_batched(size.max(0) as u64, t0.elapsed());
-                        (vals, LoopTier::Batched)
-                    }
-                } else {
-                    let mut st = kernel.new_state(env, &self.externs)?;
-                    let accs = kernel.run_range(&mut st, 0, size);
-                    note_element_loop(&st);
-                    (kernel.seal_values(accs?, &mut st)?, LoopTier::Compiled)
-                };
-                stats::record_compiled(size.max(0) as u64, t0.elapsed());
-                return Ok((vals, tier));
+                let vals = accs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(gi, acc)| task::finish_gen(&kernel, gi, std::iter::once(acc), st))
+                    .collect::<Result<Vec<_>, _>>()?;
+                return Ok((vals, tally.record_served(batched, size, t0.elapsed())));
             }
         }
         let elements = self

@@ -34,6 +34,7 @@ pub mod eval;
 mod fuse;
 pub mod parallel;
 pub mod stats;
+mod task;
 pub mod value;
 
 pub use cluster::{eval_cluster_measured, ClusterOptions, ClusterReport};

@@ -87,6 +87,10 @@ use crate::compile::{self, batch, KAcc, Kernel};
 use crate::error::{EvalError, ExecError};
 use crate::eval::{Acc, Env, Externs, Interp, LoopTier};
 use crate::stats;
+use crate::task::{
+    execute_chunk_kernel, finish_gen, native_for, run_caught, ChunkFailure, ChunkTally,
+    KernelState,
+};
 use crate::value::{Key, Value};
 use dmll_core::visit::bound_syms;
 use dmll_core::{Def, Exp, Gen, Program, Sym};
@@ -513,7 +517,7 @@ fn supervised_on(
                 }
             }
             other => {
-                let vals = interp.eval_def_owned(other, &mut env)?;
+                let vals = interp.eval_def_internal(other, &mut env)?;
                 for (s, v) in stmt.lhs.iter().zip(vals) {
                     env[s.0 as usize] = Some(v);
                 }
@@ -590,14 +594,6 @@ pub(crate) fn interp_eval_size(interp: &Interp<'_>, size: &Exp, env: &Env) -> Re
         .eval_exp(size, env)?
         .as_i64()
         .ok_or_else(|| EvalError::TypeMismatch("loop size".into()))
-}
-
-/// How one chunk execution went wrong.
-enum ChunkFailure {
-    /// A deterministic interpreter error: retrying cannot help.
-    Eval(EvalError),
-    /// The worker died (real panic, or injected fault): re-executable.
-    Died(String),
 }
 
 /// What one task execution produced: per-generator accumulators, or how
@@ -731,124 +727,10 @@ fn execute_chunk(
     reads: &[usize],
     writes: &[usize],
 ) -> Result<Vec<Acc>, ChunkFailure> {
-    if injected && !panic_workers {
-        return Err(ChunkFailure::Died(format!(
-            "injected fault on chunk {chunk_index}"
-        )));
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    run_caught(chunk_index, injected, panic_workers, || {
         scratch.prepare(env, reads, writes);
-        if injected {
-            panic!("injected panic on chunk {chunk_index}");
-        }
-        interp.eval_loop_accs_owned(ml, &mut scratch.env, range.0, Some(range.1))
-    }));
-    match outcome {
-        Ok(Ok(accs)) => Ok(accs),
-        Ok(Err(e)) => Err(ChunkFailure::Eval(e)),
-        Err(payload) => Err(ChunkFailure::Died(panic_message(payload.as_ref()))),
-    }
-}
-
-/// A worker's lazily built, reusable kernel register state. Reuse across
-/// tasks is safe because every varying register is written before it is
-/// read and accumulators/key directories are fresh per `run_range*` call;
-/// any failure drops the state so the next task rebuilds from the parent
-/// environment.
-enum KernelState {
-    Scalar(compile::KState),
-    Batched(batch::BState),
-}
-
-/// What one loop's chunks observed, summed across workers and recovery.
-#[derive(Default)]
-struct ChunkTally {
-    /// Elements served by the native entry.
-    native_elems: AtomicU64,
-    /// Some chunk ran the element-at-a-time bytecode loop (not the batched
-    /// executor, the scatter path or native code).
-    element_loop: AtomicBool,
-}
-
-/// Execute one task's subrange on the compiled tier, scalar or batched.
-/// Fault recovery re-executes with the same kernel *and the same mode*, so
-/// recovered runs stay bit-identical to the fault-free ones.
-#[allow(clippy::too_many_arguments)]
-fn execute_chunk_kernel(
-    kernel: &Kernel,
-    env: &Env,
-    externs: &Externs,
-    state: &mut Option<KernelState>,
-    batched: bool,
-    native: Option<&compile::native::NativeEntry>,
-    tally: &ChunkTally,
-    range: (i64, i64),
-    chunk_index: usize,
-    injected: bool,
-    panic_workers: bool,
-) -> Result<Vec<KAcc>, ChunkFailure> {
-    if injected && !panic_workers {
-        return Err(ChunkFailure::Died(format!(
-            "injected fault on chunk {chunk_index}"
-        )));
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if injected {
-            panic!("injected panic on chunk {chunk_index}");
-        }
-        // Native first: a faulting chunk (nonzero rc) falls through to the
-        // batched path below, which reproduces the interpreter's exact
-        // error or panic for that subrange.
-        if let Some(entry) = native {
-            if let Some(accs) = kernel.run_range_native(entry, env, range.0, range.1) {
-                tally
-                    .native_elems
-                    .fetch_add((range.1 - range.0).max(0) as u64, Ordering::Relaxed);
-                return Ok(accs);
-            }
-        }
-        if !matches!(
-            (batched, &*state),
-            (true, Some(KernelState::Batched(_))) | (false, Some(KernelState::Scalar(_)))
-        ) {
-            *state = Some(if batched {
-                KernelState::Batched(kernel.new_batched_state(env, externs)?)
-            } else {
-                KernelState::Scalar(kernel.new_state(env, externs)?)
-            });
-        }
-        let (accs, scalar) = match state.as_mut().expect("state built above") {
-            KernelState::Batched(bst) => {
-                (kernel.run_range_batched(bst, range.0, range.1), &bst.scalar)
-            }
-            KernelState::Scalar(st) => (kernel.run_range(st, range.0, range.1), &*st),
-        };
-        if scalar.element_loop_ran {
-            tally.element_loop.store(true, Ordering::Relaxed);
-        }
-        accs
-    }));
-    match outcome {
-        Ok(Ok(accs)) => Ok(accs),
-        Ok(Err(e)) => {
-            *state = None;
-            Err(ChunkFailure::Eval(e))
-        }
-        Err(payload) => {
-            *state = None;
-            Err(ChunkFailure::Died(panic_message(payload.as_ref())))
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
+        interp.eval_loop_accs(ml, &mut scratch.env, range.0, Some(range.1))
+    })
 }
 
 /// Smallest task worth scheduling when the range doesn't span full blocks.
@@ -1360,59 +1242,33 @@ fn run_chunked(
     let faults = pending.for_tasks(tasks.len());
 
     if let Some(kernel) = kernel {
-        {
-            let batched = options.use_batched && kernel.batchable;
-            // Native tier: chunks run the dlopen'd kernel when one is
-            // available; each faulting chunk individually lands back on
-            // the batched executor, which reproduces the exact outcome.
-            let native = if batched && options.use_native {
-                match kernel.native_entry(ml, env) {
-                    Ok(entry) => Some(entry),
-                    Err(reason) => {
-                        stats::record_native_fallback(reason.key());
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            let tally = ChunkTally::default();
-            let t0 = Instant::now();
-            let out = run_chunked_kernel(
-                &kernel,
-                env,
-                interp.externs(),
-                &tasks,
-                &faults,
-                pending,
-                workers,
-                batched,
-                native,
-                &tally,
-                options,
-                report,
-            );
-            // Counted once per loop, and only when the element loop really
-            // ran: the scatter path serves its chunks without one, and a
-            // certified kernel reaches it only by declining at run time.
-            let element_loop = tally.element_loop.load(Ordering::Relaxed);
-            if options.use_batched && element_loop {
-                stats::record_batch_ineligible(kernel.element_loop_reason());
-            }
-            let out = out?;
-            let dt = t0.elapsed();
-            stats::record_compiled(size.max(0) as u64, dt);
-            if batched && !element_loop {
-                stats::record_batched(size.max(0) as u64, dt);
-                report.batched_loops += 1;
-            }
-            let ne = tally.native_elems.load(Ordering::Relaxed);
-            if ne > 0 {
-                stats::record_native(ne, dt);
-            }
-            report.compiled_loops += 1;
-            return Ok(out);
+        // Mode and native entry are picked once per loop; every task, its
+        // recovery and its speculative clones run the same way.
+        let batched = options.use_batched && kernel.batchable;
+        let native = native_for(&kernel, ml, env, batched && options.use_native);
+        let tally = ChunkTally::default();
+        let t0 = Instant::now();
+        let out = run_chunked_kernel(
+            &kernel,
+            env,
+            interp.externs(),
+            &tasks,
+            &faults,
+            pending,
+            workers,
+            batched,
+            native,
+            &tally,
+            options,
+            report,
+        );
+        tally.note_ineligible(&kernel, options.use_batched);
+        let out = out?;
+        if tally.record_served(batched, size, t0.elapsed()) == LoopTier::Batched {
+            report.batched_loops += 1;
         }
+        report.compiled_loops += 1;
+        return Ok(out);
     }
     let t0 = Instant::now();
     let out = run_chunked_treewalk(
@@ -1593,7 +1449,7 @@ fn run_chunked_treewalk(
             });
         }
         let merged = merged.unwrap_or_else(|| Acc::for_gen(gen));
-        outputs.push(interp.seal_acc_owned(gen, merged, env)?);
+        outputs.push(interp.seal_acc(gen, merged, env)?);
     }
     Ok(outputs)
 }
@@ -1696,14 +1552,10 @@ fn run_chunked_kernel(
         )
     })?;
 
-    // Merge on a coordinator state (reducer blocks execute as bytecode
-    // too), then seal each generator's accumulator. Both planes stitch
-    // each generator's per-task accumulators once, by task id: the same
-    // reducer calls on the same operands in the same order as a pairwise
-    // fold in chunk order, so outputs are bit-identical across planes.
+    // Finish on a coordinator state (reducer blocks execute as bytecode
+    // too): group per generator, then the shared stitch-and-seal.
     let mut st = kernel.new_state(env, externs)?;
-    let n_gens = kernel.gens.len();
-    let mut per_gen: Vec<Vec<KAcc>> = (0..n_gens)
+    let mut per_gen: Vec<Vec<KAcc>> = (0..kernel.gens.len())
         .map(|_| Vec::with_capacity(per_chunk.len()))
         .collect();
     for chunk_accs in per_chunk {
@@ -1711,15 +1563,11 @@ fn run_chunked_kernel(
             per_gen[gi].push(acc);
         }
     }
-    let mut outputs = Vec::with_capacity(n_gens);
-    for (gi, accs) in per_gen.into_iter().enumerate() {
-        let acc = if accs.is_empty() {
-            KAcc::for_gen(&kernel.gens[gi], 0)
-        } else {
-            kernel.stitch(gi, accs, &mut st)?
-        };
-        outputs.push(kernel.seal_gen_value(gi, acc, &mut st)?);
-    }
+    let outputs = per_gen
+        .into_iter()
+        .enumerate()
+        .map(|(gi, accs)| finish_gen(kernel, gi, accs.into_iter(), &mut st))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(outputs)
 }
 
@@ -1740,7 +1588,7 @@ pub(crate) fn merge_pair(
                 let reducer = gen
                     .reducer()
                     .ok_or_else(|| EvalError::TypeMismatch("reduce gen without reducer".into()))?;
-                Some(interp.eval_block_owned(reducer, &[x, y], env)?)
+                Some(interp.eval_block(reducer, &[x, y], env)?)
             }
             (Some(x), None) => Some(x),
             (None, y) => y,
@@ -1784,7 +1632,7 @@ pub(crate) fn merge_pair(
                 match index.get(&Key(k.clone())) {
                     Some(&slot) => {
                         let cur = vals[slot].clone();
-                        vals[slot] = interp.eval_block_owned(reducer, &[cur, v], env)?;
+                        vals[slot] = interp.eval_block(reducer, &[cur, v], env)?;
                     }
                     None => {
                         index.insert(Key(k.clone()), keys.len());
@@ -1801,42 +1649,6 @@ pub(crate) fn merge_pair(
             ))
         }
     })
-}
-
-impl<'p> Interp<'p> {
-    pub(crate) fn eval_loop_accs_owned(
-        &self,
-        ml: &dmll_core::Multiloop,
-        env: &mut Env,
-        start: i64,
-        end: Option<i64>,
-    ) -> Result<Vec<Acc>, EvalError> {
-        self.eval_loop_accs(ml, env, start, end)
-    }
-
-    pub(crate) fn eval_def_owned(&self, def: &Def, env: &mut Env) -> Result<Vec<Value>, EvalError> {
-        // Delegate through a tiny shim block so we reuse eval_def without
-        // exposing it.
-        self.eval_def_internal(def, env)
-    }
-
-    pub(crate) fn eval_block_owned(
-        &self,
-        block: &dmll_core::Block,
-        args: &[Value],
-        env: &mut Env,
-    ) -> Result<Value, EvalError> {
-        self.eval_block(block, args, env)
-    }
-
-    pub(crate) fn seal_acc_owned(
-        &self,
-        gen: &Gen,
-        acc: Acc,
-        env: &mut Env,
-    ) -> Result<Value, EvalError> {
-        self.seal_acc(gen, acc, env)
-    }
 }
 
 #[cfg(test)]
