@@ -98,7 +98,8 @@ pub enum TierKind {
     Batched,
     /// Compiled bytecode, element-at-a-time.
     Scalar,
-    /// Tree-walking interpreter.
+    /// Tree-walking interpreter. Its tasks run in order on the calling
+    /// thread, so injected delays and speculation do not apply to it.
     TreeWalk,
 }
 
@@ -984,7 +985,9 @@ mod tests {
     #[test]
     fn one_seed_sweep_holds_the_contract() {
         // Full sweep of one clean seed and one persistent-failure seed at
-        // 2 threads: every run bit-identical or typed.
+        // 2 threads: every run bit-identical or typed. Its tree-walk tier
+        // feeds the counters the measured-cluster test diffs.
+        let _counters = crate::lock_tier_counters();
         let runs = run_chaos(&[4, 3], 2);
         assert_eq!(runs.len(), 2 * 4 * 3);
         for r in &runs {
@@ -1011,15 +1014,9 @@ mod tests {
 
     #[test]
     fn nested_probe_passes() {
-        // The probe reads process-global tier counters that a
-        // concurrently-running tiers test can reset mid-probe; one retry
-        // absorbs that race.
+        let _counters = crate::lock_tier_counters();
         let (ok, detail) = nested_probe(2, 4);
-        if ok {
-            return;
-        }
-        let (ok, retry_detail) = nested_probe(2, 4);
-        assert!(ok, "{detail}; retry: {retry_detail}");
+        assert!(ok, "{detail}");
     }
 
     #[test]

@@ -235,6 +235,7 @@ mod tests {
 
     #[test]
     fn smoke_measured_cluster_holds_the_gate() {
+        let _counters = crate::lock_tier_counters();
         let rows = measured_cluster(1, 2, &[1, 4]);
         // Two apps x (two baselines + one kill).
         assert_eq!(rows.len(), 2 * 3);

@@ -42,3 +42,14 @@ pub mod render;
 pub mod service;
 pub mod tiers;
 pub mod workloads;
+
+/// Lib tests that reset the process-global tier counters, or diff them
+/// around a run, hold this lock so a concurrently running test cannot
+/// reset or inflate the counters mid-reading.
+#[cfg(test)]
+pub(crate) fn lock_tier_counters() -> std::sync::MutexGuard<'static, ()> {
+    static TIER_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TIER_COUNTERS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

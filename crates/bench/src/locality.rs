@@ -415,6 +415,7 @@ mod tests {
 
     #[test]
     fn sharded_plane_is_bit_identical_and_explained() {
+        let _counters = crate::lock_tier_counters();
         // Smallest scale: correctness of the harness, not speed.
         let rows = locality_comparison(1, 2, 2);
         assert_eq!(rows.len(), 5);

@@ -842,6 +842,7 @@ mod tests {
 
     #[test]
     fn tiers_agree_and_kernels_fire() {
+        let _counters = crate::lock_tier_counters();
         // Smallest scale: correctness of the comparison harness, not speed.
         let rows = tier_comparison(1);
         assert_eq!(rows.len(), 7);
@@ -900,6 +901,7 @@ mod tests {
 
     #[test]
     fn tiers_agree_across_threads() {
+        let _counters = crate::lock_tier_counters();
         // The work-stealing chunked path must stay bit-identical too.
         for r in tier_comparison_threads(1, 3) {
             assert!(r.identical, "{} tiers disagree at 3 threads", r.app);
@@ -908,6 +910,7 @@ mod tests {
 
     #[test]
     fn no_fuse_knob_pins_hook_off() {
+        let _counters = crate::lock_tier_counters();
         let rows = tier_comparison_full(1, 1, 0, false, false);
         for r in &rows {
             assert!(r.identical, "{} tiers disagree with fusion off", r.app);

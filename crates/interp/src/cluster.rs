@@ -32,11 +32,11 @@
 use crate::compile::{self, ColBuf, KAcc, Kernel, KeyIx, RedBuf};
 use crate::error::{EvalError, ExecError};
 use crate::eval::{Env, Externs, Interp, LoopTier};
-use crate::parallel::{interp_eval_size, loop_touched_slots, plan_tasks, ExecReport};
+use crate::parallel::{interp_eval_size, plan_tasks, ExecReport};
 use crate::stats;
 use crate::task::{execute_chunk_kernel, finish_gen, ChunkFailure, ChunkTally};
 use crate::value::{ArrayVal, Key, Value};
-use dmll_core::{Def, Gen, Multiloop, Program, Sym};
+use dmll_core::{Def, Exp, Gen, Multiloop, Program, Sym};
 use dmll_runtime::{
     Chunk, ClusterPlane, ClusterSpec, FaultInjector, FaultPlan, LoopPlan, Placement, ProgramPlan,
     RetryPolicy, RuntimeError, SchedulePlan, SpeculationPolicy,
@@ -497,6 +497,19 @@ fn next_report(
     }
 }
 
+/// Environment slots a task of `ml` can read: its free symbols plus the
+/// loop size. These are what a node needs staged.
+fn loop_read_slots(ml: &Multiloop) -> Vec<usize> {
+    let mut reads: BTreeSet<usize> = compile::loop_free_syms(ml)
+        .iter()
+        .map(|s| s.0 as usize)
+        .collect();
+    if let Exp::Sym(s) = &ml.size {
+        reads.insert(s.0 as usize);
+    }
+    reads.into_iter().collect()
+}
+
 /// Execute one multiloop as a cluster epoch: place, stage, dispatch,
 /// speculate, recover, shuffle, assemble.
 #[allow(clippy::too_many_arguments)]
@@ -582,7 +595,7 @@ fn run_epoch(
             stats::record_stencil_fallbacks(lp.fallbacks as u64);
         }
     }
-    let (reads, _writes) = loop_touched_slots(ml);
+    let reads = loop_read_slots(ml);
 
     let mut node_tasks: Vec<Vec<(usize, (i64, i64))>> = vec![Vec::new(); nodes];
     for (t, chunk) in planned.chunks.iter().enumerate() {

@@ -2715,9 +2715,12 @@ impl<'e> Compiler<'e> {
                 ..
             } => {
                 if *effectful {
-                    // Effectful calls must not be reordered, re-executed on
-                    // chunk retry, or skipped — the compiled tiers give no
-                    // such guarantees.
+                    // Effectful calls must not be reordered, re-executed or
+                    // skipped. The compiled tiers run tasks on worker
+                    // threads with speculation; the tree-walker the loop
+                    // falls back to walks its tasks in index order on one
+                    // thread, once per attempt — only a task that died is
+                    // re-run.
                     return Err(Reject("effectful extern"));
                 }
                 let (class, vty) = match ret {

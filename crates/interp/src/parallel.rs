@@ -72,9 +72,14 @@
 //! (`crate::compile`): when the loop compiles, every worker chunk executes
 //! the *same* cached kernel over its subrange, and chunk recovery re-runs
 //! that kernel — so fault-tolerance semantics are preserved bit-for-bit
-//! across tiers. Loops the compiler rejects fall back to the tree-walking
-//! chunk path below, which reuses per-worker scratch environments instead
-//! of cloning the full environment for every chunk and retry.
+//! across tiers. Loops the compiler rejects (effectful externs among them),
+//! and every loop under [`ParallelOptions::tree_walk_only`], are walked
+//! instead: the same task plan, one task after another on the calling
+//! thread, merged in task order. Work stealing and the supervision
+//! features that belong to worker threads (speculation, straggler delays,
+//! quarantine) apply to the compiled tier only; the walk keeps stop
+//! polling, fault injection and chunk recovery, and runs each task's
+//! effects once per attempt, in index order.
 
 // `ExecError` deliberately embeds the partial `ExecReport` inline in its
 // abort variants: the report is `Copy`, callers (the chaos harness, tests)
@@ -92,7 +97,6 @@ use crate::task::{
     KernelState,
 };
 use crate::value::{Key, Value};
-use dmll_core::visit::bound_syms;
 use dmll_core::{Def, Exp, Gen, Program, Sym};
 use dmll_runtime::supervise::{StopReason, Supervisor};
 use dmll_runtime::{worker_regions, LoopPlan, ProgramPlan, RegionMap};
@@ -244,9 +248,10 @@ impl ParallelOptions {
         }
     }
 
-    /// Register a handler for a whitelisted extern. Pure handlers only:
-    /// the executor may re-invoke them during chunk recovery and
-    /// speculation, so results must be a function of the arguments.
+    /// Register a handler for a whitelisted extern. A handler staged as
+    /// pure may be re-invoked during chunk recovery and speculation, so its
+    /// result must be a function of the arguments; one staged as effectful
+    /// runs on the tree-walker, once per attempt and in index order.
     pub fn with_extern(
         mut self,
         name: impl Into<String>,
@@ -305,8 +310,9 @@ impl ParallelOptions {
         self
     }
 
-    /// Force every loop onto the tree-walking tier (used by the
-    /// tier-comparison benchmarks).
+    /// Force every loop onto the tree-walking tier, which walks the task
+    /// plan in order on the calling thread (the reference the
+    /// tier-comparison benchmarks measure against).
     pub fn tree_walk_only(mut self) -> ParallelOptions {
         self.use_compiled = false;
         self
@@ -462,9 +468,6 @@ fn supervised_on(
     // so injection is deterministic under any thread interleaving);
     // persistent faults re-fire on every loop and every retry.
     let mut pending = PendingFaults::from(&options.faults);
-    // Per-worker scratch environments for the tree-walking chunk path,
-    // reused across loops and retries.
-    let mut scratch_pool: Vec<ScratchEnv> = Vec::new();
     for stmt in &program.body.stmts {
         // Task-granularity stop polling covers the chunked executor below;
         // this statement-boundary poll additionally bounds abort latency
@@ -508,7 +511,6 @@ fn supervised_on(
                         options,
                         &mut pending,
                         &mut report,
-                        &mut scratch_pool,
                     )
                     .map_err(|e| attach_partial(e, finish_report(report, supervisor, trips_before)))?
                 };
@@ -652,85 +654,6 @@ struct TaskFault {
     fail_once: AtomicBool,
     persistent: bool,
     delay_nanos: AtomicU64,
-}
-
-/// A reusable per-chunk environment for the tree-walking tier. Chunk
-/// evaluation only reads the loop's free symbols (plus its size) and only
-/// writes symbols bound inside generator blocks, so instead of cloning the
-/// whole `Vec<Option<Value>>` for every chunk and every retry, each worker
-/// keeps one scratch env and refreshes just those slots per execution.
-struct ScratchEnv {
-    env: Env,
-    /// Slots possibly populated by the previous use; cleared on `prepare`.
-    dirty: Vec<usize>,
-}
-
-impl ScratchEnv {
-    fn new(len: usize) -> ScratchEnv {
-        ScratchEnv {
-            env: vec![None; len],
-            dirty: Vec::new(),
-        }
-    }
-
-    /// Reset to "agrees with `parent` on `reads`, unset everywhere else the
-    /// previous use touched", and mark `reads` and `writes` dirty for the
-    /// next reset.
-    fn prepare(&mut self, parent: &Env, reads: &[usize], writes: &[usize]) {
-        for &s in &self.dirty {
-            self.env[s] = None;
-        }
-        self.dirty.clear();
-        if self.env.len() < parent.len() {
-            self.env.resize(parent.len(), None);
-        }
-        for &s in reads {
-            self.env[s] = parent[s].clone();
-        }
-        self.dirty.extend_from_slice(reads);
-        self.dirty.extend_from_slice(writes);
-    }
-}
-
-/// Environment slots a chunked tree-walk of `ml` can read (free symbols
-/// plus the loop size) and write (symbols bound inside generator blocks,
-/// including nested loops).
-pub(crate) fn loop_touched_slots(ml: &dmll_core::Multiloop) -> (Vec<usize>, Vec<usize>) {
-    let mut reads: BTreeSet<usize> = compile::loop_free_syms(ml)
-        .iter()
-        .map(|s| s.0 as usize)
-        .collect();
-    if let Exp::Sym(s) = &ml.size {
-        reads.insert(s.0 as usize);
-    }
-    let mut writes: BTreeSet<usize> = BTreeSet::new();
-    for g in &ml.gens {
-        for b in g.blocks() {
-            writes.extend(bound_syms(b).iter().map(|s| s.0 as usize));
-        }
-    }
-    (reads.into_iter().collect(), writes.into_iter().collect())
-}
-
-/// Execute one chunk's subrange on the tree-walking tier, optionally
-/// delivering an injected fault.
-#[allow(clippy::too_many_arguments)]
-fn execute_chunk(
-    interp: &Interp<'_>,
-    ml: &dmll_core::Multiloop,
-    env: &Env,
-    scratch: &mut ScratchEnv,
-    range: (i64, i64),
-    chunk_index: usize,
-    injected: bool,
-    panic_workers: bool,
-    reads: &[usize],
-    writes: &[usize],
-) -> Result<Vec<Acc>, ChunkFailure> {
-    run_caught(chunk_index, injected, panic_workers, || {
-        scratch.prepare(env, reads, writes);
-        interp.eval_loop_accs(ml, &mut scratch.env, range.0, Some(range.1))
-    })
 }
 
 /// Smallest task worth scheduling when the range doesn't span full blocks.
@@ -1188,7 +1111,6 @@ fn run_chunked(
     options: &ParallelOptions,
     pending: &mut PendingFaults,
     report: &mut ExecReport,
-    pool: &mut Vec<ScratchEnv>,
 ) -> Result<Vec<Value>, ExecError> {
     // Stencil-driven placement for this loop (sharded runs only): loops
     // reading a collection with an `Unknown` stencil still run sharded,
@@ -1238,7 +1160,6 @@ fn run_chunked(
     } else {
         plan_tasks(size, threads)
     };
-    let workers = threads.min(tasks.len()).max(1);
     let faults = pending.for_tasks(tasks.len());
 
     if let Some(kernel) = kernel {
@@ -1255,7 +1176,7 @@ fn run_chunked(
             &tasks,
             &faults,
             pending,
-            workers,
+            threads.min(tasks.len()).max(1),
             batched,
             native,
             &tally,
@@ -1271,8 +1192,15 @@ fn run_chunked(
         return Ok(out);
     }
     let t0 = Instant::now();
-    let out = run_chunked_treewalk(
-        interp, ml, env, &tasks, &faults, pending, workers, options, report, pool,
+    let out = walk_tasks(
+        interp,
+        ml,
+        env,
+        &tasks,
+        &faults,
+        pending.panic_workers,
+        options,
+        report,
     )?;
     stats::record_treewalk(size.max(0) as u64, t0.elapsed());
     report.treewalk_loops += 1;
@@ -1302,156 +1230,119 @@ fn absorb_round<A>(
     Ok(outcome.results)
 }
 
-/// Recover failed first-round chunks by re-executing just their subranges
-/// (the retry closure runs on the coordinator thread). A multiloop is
-/// agnostic to its bounds, so re-running `ranges[ci]` alone yields the
-/// same accumulator the lost worker would have produced. Shared by both
-/// execution tiers. Retries are bounded twice: per-chunk by
-/// `max_chunk_retries`, and run-wide by the supervisor's retry budget.
-fn recover_chunks<A>(
-    first_round: Vec<Result<Vec<A>, ChunkFailure>>,
-    ranges: &[(i64, i64)],
+/// Recover chunk `ci` whose first execution went `outcome`, by re-running
+/// just its subrange on the coordinator thread (`retry`). A multiloop is
+/// agnostic to its bounds, so that yields the same accumulator the lost
+/// execution would have produced. Shared by both execution tiers. Retries
+/// are bounded twice: per-chunk by `max_chunk_retries`, and run-wide by the
+/// supervisor's retry budget.
+fn recover_chunk<A>(
+    ci: usize,
+    outcome: Result<Vec<A>, ChunkFailure>,
     options: &ParallelOptions,
     report: &mut ExecReport,
-    mut retry: impl FnMut(usize, (i64, i64)) -> Result<Vec<A>, ChunkFailure>,
-) -> Result<Vec<Vec<A>>, ExecError> {
+    mut retry: impl FnMut() -> Result<Vec<A>, ChunkFailure>,
+) -> Result<Vec<A>, ExecError> {
+    let mut message = match outcome {
+        Ok(accs) => return Ok(accs),
+        Err(ChunkFailure::Eval(e)) => return Err(e.into()),
+        Err(ChunkFailure::Died(message)) => message,
+    };
     let supervisor = options.supervisor.as_deref();
-    let mut per_chunk: Vec<Vec<A>> = Vec::with_capacity(first_round.len());
-    for (ci, outcome) in first_round.into_iter().enumerate() {
-        match outcome {
-            Ok(accs) => per_chunk.push(accs),
+    for _attempt in 1..=options.max_chunk_retries {
+        if let Some(sup) = supervisor {
+            if let Some(reason) = sup.check() {
+                return Err(stop_error(sup, reason, *report));
+            }
+            if !sup.try_consume_retry() {
+                return Err(ExecError::RetryBudgetExhausted {
+                    chunk: ci,
+                    budget: sup.policy().retry_budget,
+                    message,
+                    partial: *report,
+                });
+            }
+        }
+        report.chunk_executions += 1;
+        match retry() {
+            Ok(accs) => {
+                report.reexecuted_chunks += 1;
+                return Ok(accs);
+            }
             Err(ChunkFailure::Eval(e)) => return Err(e.into()),
-            Err(ChunkFailure::Died(mut message)) => {
-                let mut recovered = None;
-                for _attempt in 1..=options.max_chunk_retries {
-                    if let Some(sup) = supervisor {
-                        if let Some(reason) = sup.check() {
-                            return Err(stop_error(sup, reason, *report));
-                        }
-                        if !sup.try_consume_retry() {
-                            return Err(ExecError::RetryBudgetExhausted {
-                                chunk: ci,
-                                budget: sup.policy().retry_budget,
-                                message,
-                                partial: *report,
-                            });
-                        }
-                    }
-                    report.chunk_executions += 1;
-                    match retry(ci, ranges[ci]) {
-                        Ok(accs) => {
-                            report.reexecuted_chunks += 1;
-                            recovered = Some(accs);
-                            break;
-                        }
-                        Err(ChunkFailure::Eval(e)) => return Err(e.into()),
-                        Err(ChunkFailure::Died(m)) => {
-                            report.failed_executions += 1;
-                            message = m;
-                        }
-                    }
-                }
-                match recovered {
-                    Some(accs) => per_chunk.push(accs),
-                    None => {
-                        return Err(EvalError::ChunkRetriesExhausted {
-                            chunk: ci,
-                            attempts: options.max_chunk_retries + 1,
-                            message,
-                        }
-                        .into())
-                    }
-                }
+            Err(ChunkFailure::Died(m)) => {
+                report.failed_executions += 1;
+                message = m;
             }
         }
     }
-    Ok(per_chunk)
+    Err(EvalError::ChunkRetriesExhausted {
+        chunk: ci,
+        attempts: options.max_chunk_retries + 1,
+        message,
+    }
+    .into())
 }
 
-/// Tree-walking chunk executor: per-worker scratch environments, merges in
-/// task order against the coordinator's real environment.
+/// Tree-walking tier: the loop's tasks walked one after another on the
+/// calling thread, directly on the caller's environment (loop bodies only
+/// bind loop-local symbols). The supervisor is polled before each task. A
+/// task that died is re-run before the next one starts, so every task's
+/// effects happen once per attempt and in index order — the guarantee the
+/// kernel compiler relies on when it rejects effectful externs. Per-task
+/// accumulators fold with `merge_pair` in task order: the same task plan
+/// and merge order as the compiled tier's stitch, so float partials keep
+/// their bits.
 #[allow(clippy::too_many_arguments)]
-fn run_chunked_treewalk(
+fn walk_tasks(
     interp: &Interp<'_>,
     ml: &dmll_core::Multiloop,
     env: &mut Env,
     tasks: &[(i64, i64)],
     faults: &[TaskFault],
-    pending: &PendingFaults,
-    workers: usize,
+    panic_workers: bool,
     options: &ParallelOptions,
     report: &mut ExecReport,
-    pool: &mut Vec<ScratchEnv>,
 ) -> Result<Vec<Value>, ExecError> {
-    let panic_workers = pending.panic_workers;
-    let supervisor = options.supervisor.as_deref();
-    let (reads, writes) = loop_touched_slots(ml);
-    if pool.len() < workers {
-        let len = env.len();
-        pool.resize_with(workers, || ScratchEnv::new(len));
-    }
-
-    // First round: tasks run under work stealing, one scratch env per
-    // worker (reused across that worker's tasks), failures caught.
-    let outcome = {
-        let env_ref = &*env;
-        let (reads, writes) = (&reads, &writes);
-        run_stealing(
-            tasks,
-            faults,
-            pending,
-            &mut pool[..workers],
-            supervisor,
-            StealQueues::new(tasks.len(), workers),
-            &|scratch, ci, range, injected| {
-                execute_chunk(
-                    interp,
-                    ml,
-                    env_ref,
-                    scratch,
-                    range,
-                    ci,
-                    injected,
-                    panic_workers,
-                    reads,
-                    writes,
-                )
-            },
-        )
-    };
-    let first_round = unreported_as_died(absorb_round(outcome, report, supervisor)?);
-
-    let mut per_chunk = recover_chunks(first_round, tasks, options, report, |ci, range| {
-        execute_chunk(
-            interp,
-            ml,
-            env,
-            &mut pool[0],
-            range,
-            ci,
-            faults[ci].persistent,
-            panic_workers,
-            &reads,
-            &writes,
-        )
-    })?;
-
-    // Transpose: per-generator lists of per-chunk accumulators, merged in
-    // chunk order.
-    let mut outputs = Vec::with_capacity(ml.gens.len());
-    for (gi, gen) in ml.gens.iter().enumerate() {
-        let mut merged: Option<Acc> = None;
-        for chunk_accs in &mut per_chunk {
-            let acc = std::mem::replace(&mut chunk_accs[gi], Acc::Collect(Vec::new()));
-            merged = Some(match merged {
-                None => acc,
-                Some(m) => merge_pair(interp, gen, m, acc, env)?,
-            });
+    let mut merged: Option<Vec<Acc>> = None;
+    for (ci, &(s, e)) in tasks.iter().enumerate() {
+        if let Some(sup) = options.supervisor.as_deref() {
+            if let Some(reason) = sup.check() {
+                return Err(stop_error(sup, reason, *report));
+            }
         }
-        let merged = merged.unwrap_or_else(|| Acc::for_gen(gen));
-        outputs.push(interp.seal_acc(gen, merged, env)?);
+        let walk = |env: &mut Env, injected: bool| {
+            run_caught(ci, injected, panic_workers, || {
+                interp.eval_loop_accs(ml, env, s, Some(e))
+            })
+        };
+        let fault = &faults[ci];
+        report.chunk_executions += 1;
+        let first = walk(
+            env,
+            fault.persistent | fault.fail_once.swap(false, Ordering::Relaxed),
+        );
+        if first.is_err() {
+            report.failed_executions += 1;
+        }
+        let accs = recover_chunk(ci, first, options, report, || walk(env, fault.persistent))?;
+        merged = Some(match merged {
+            None => accs,
+            Some(m) => m
+                .into_iter()
+                .zip(accs)
+                .zip(&ml.gens)
+                .map(|((a, b), gen)| merge_pair(interp, gen, a, b, env))
+                .collect::<Result<_, _>>()?,
+        });
     }
-    Ok(outputs)
+    let merged = merged.unwrap_or_else(|| ml.gens.iter().map(Acc::for_gen).collect());
+    let sealed = ml
+        .gens
+        .iter()
+        .zip(merged)
+        .map(|(gen, acc)| interp.seal_acc(gen, acc, env));
+    Ok(sealed.collect::<Result<_, _>>()?)
 }
 
 /// Map tasks a dead worker never reported into recoverable chunk deaths.
@@ -1535,34 +1426,34 @@ fn run_chunked_kernel(
         report.region_local_tasks += local;
     }
 
+    // Recover in task order, grouping per generator; then finish on a
+    // coordinator state (reducer blocks execute as bytecode too) with the
+    // shared stitch-and-seal.
     let mut retry_state: Option<KernelState> = None;
-    let per_chunk = recover_chunks(first_round, tasks, options, report, |ci, range| {
-        execute_chunk_kernel(
-            kernel,
-            env,
-            externs,
-            &mut retry_state,
-            batched,
-            native,
-            tally,
-            range,
-            ci,
-            faults[ci].persistent,
-            panic_workers,
-        )
-    })?;
-
-    // Finish on a coordinator state (reducer blocks execute as bytecode
-    // too): group per generator, then the shared stitch-and-seal.
-    let mut st = kernel.new_state(env, externs)?;
     let mut per_gen: Vec<Vec<KAcc>> = (0..kernel.gens.len())
-        .map(|_| Vec::with_capacity(per_chunk.len()))
+        .map(|_| Vec::with_capacity(tasks.len()))
         .collect();
-    for chunk_accs in per_chunk {
-        for (gi, acc) in chunk_accs.into_iter().enumerate() {
+    for (ci, outcome) in first_round.into_iter().enumerate() {
+        let accs = recover_chunk(ci, outcome, options, report, || {
+            execute_chunk_kernel(
+                kernel,
+                env,
+                externs,
+                &mut retry_state,
+                batched,
+                native,
+                tally,
+                tasks[ci],
+                ci,
+                faults[ci].persistent,
+                panic_workers,
+            )
+        })?;
+        for (gi, acc) in accs.into_iter().enumerate() {
             per_gen[gi].push(acc);
         }
     }
+    let mut st = kernel.new_state(env, externs)?;
     let outputs = per_gen
         .into_iter()
         .enumerate()
@@ -1839,24 +1730,45 @@ mod tests {
         assert!(r2.treewalk_loops >= 1, "{r2:?}");
     }
 
+    /// `x.map(e => tick(e)).sum` with `tick` an effectful identity extern:
+    /// the kernel compiler rejects the loop, so even default options walk
+    /// it on the tree-walking tier.
+    fn effectful_sum_program() -> Program {
+        let mut st = Stage::new();
+        let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
+        let ticked = st.map(&x, |st, e| {
+            st.extern_call("tick", &[e], Ty::I64, true, true)
+        });
+        let total = st.sum(&ticked);
+        st.finish(&total)
+    }
+
     #[test]
     fn tree_walk_tier_recovers_faults_identically() {
-        // Force the tree-walking tier so recovery exercises the reusable
-        // scratch environments (including re-prepare after a mid-chunk
-        // panic leaves one partially written).
-        let p = sum_squares_program();
+        // Recovery on the walk, both forced by `tree_walk_only` and reached
+        // by a loop the kernel compiler rejects: each dead task is re-run
+        // over its own subrange, directly on the caller's environment, and
+        // the merge in task order reproduces the fault-free bits.
         let data: Vec<i64> = (0..2000).collect();
-        let clean = eval_parallel(&p, &[("x", Value::i64_arr(data.clone()))], 4).unwrap();
-        for faults in [
-            ChunkFaults::fail_once([0, 2]),
-            ChunkFaults::fail_once([0, 2]).panicking(),
+        let inputs = [("x", Value::i64_arr(data))];
+        let forced = ParallelOptions::new(4).tree_walk_only();
+        let rejected = ParallelOptions::new(4).with_extern("tick", |args| Ok(args[0].clone()));
+        for (p, opts) in [
+            (sum_squares_program(), forced),
+            (effectful_sum_program(), rejected),
         ] {
-            let opts = ParallelOptions::new(4).tree_walk_only().with_faults(faults);
-            let (value, report) =
-                eval_parallel_report(&p, &[("x", Value::i64_arr(data.clone()))], &opts).unwrap();
-            assert_eq!(value, clean, "scratch-env recovery is bit-identical");
-            assert_eq!(report.reexecuted_chunks, 2);
-            assert_eq!(report.compiled_loops, 0);
+            let (clean, _) = eval_parallel_report(&p, &inputs, &opts).unwrap();
+            for faults in [
+                ChunkFaults::fail_once([0, 2]),
+                ChunkFaults::fail_once([0, 2]).panicking(),
+            ] {
+                let opts = opts.clone().with_faults(faults);
+                let (value, report) = eval_parallel_report(&p, &inputs, &opts).unwrap();
+                assert_eq!(value, clean, "walk recovery is bit-identical");
+                assert_eq!(report.reexecuted_chunks, 2);
+                assert_eq!(report.compiled_loops, 0, "{report:?}");
+                assert_eq!(report.treewalk_loops, 1, "{report:?}");
+            }
         }
     }
 
@@ -1872,34 +1784,73 @@ mod tests {
     fn precancelled_run_aborts_before_any_task() {
         let p = sum_squares_program();
         let data: Vec<i64> = (0..5000).collect();
+        for opts in [
+            ParallelOptions::new(4),
+            ParallelOptions::new(4).tree_walk_only(),
+        ] {
+            let sup = Supervisor::new(SupervisorPolicy::default());
+            sup.cancel_token().cancel();
+            let opts = opts.supervised(sup);
+            let err = eval_parallel_supervised(&p, &[("x", Value::i64_arr(data.clone()))], &opts)
+                .unwrap_err();
+            match err {
+                ExecError::Cancelled { partial } => {
+                    assert_eq!(partial.chunk_executions, 0, "no task ran: {partial:?}");
+                }
+                other => panic!("expected Cancelled, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn cancel_mid_walk_stops_at_the_next_task_boundary() {
+        // The first `tick` cancels the run: the walk finishes that task and
+        // polls the supervisor before the next one.
+        let p = effectful_sum_program();
+        let data: Vec<i64> = (0..4000).collect();
+        let first_task = plan_tasks(4000, 2)[0];
         let sup = Supervisor::new(SupervisorPolicy::default());
-        sup.cancel_token().cancel();
-        let opts = ParallelOptions::new(4).supervised(sup);
-        let err =
-            eval_parallel_supervised(&p, &[("x", Value::i64_arr(data))], &opts).unwrap_err();
+        let token = sup.cancel_token();
+        let ticks = Arc::new(AtomicUsize::new(0));
+        let seen = ticks.clone();
+        let opts = ParallelOptions::new(2)
+            .supervised(sup)
+            .with_extern("tick", move |args| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                token.cancel();
+                Ok(args[0].clone())
+            });
+        let err = eval_parallel_supervised(&p, &[("x", Value::i64_arr(data))], &opts).unwrap_err();
         match err {
             ExecError::Cancelled { partial } => {
-                assert_eq!(partial.chunk_executions, 0, "no task ran: {partial:?}");
+                assert_eq!(partial.chunk_executions, 1, "{partial:?}");
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
+        let walked = (first_task.1 - first_task.0) as usize;
+        assert_eq!(ticks.load(Ordering::Relaxed), walked);
     }
 
     #[test]
     fn expired_deadline_aborts_with_partial_report() {
         let p = sum_squares_program();
         let data: Vec<i64> = (0..5000).collect();
-        let sup = Supervisor::new(SupervisorPolicy::with_deadline(Duration::ZERO));
-        let opts = ParallelOptions::new(4).supervised(sup.clone());
-        let err =
-            eval_parallel_supervised(&p, &[("x", Value::i64_arr(data))], &opts).unwrap_err();
-        match err {
-            ExecError::Deadline { partial, .. } => {
-                assert_eq!(partial.chunk_executions, 0, "{partial:?}");
+        for opts in [
+            ParallelOptions::new(4),
+            ParallelOptions::new(4).tree_walk_only(),
+        ] {
+            let sup = Supervisor::new(SupervisorPolicy::with_deadline(Duration::ZERO));
+            let opts = opts.supervised(sup.clone());
+            let err = eval_parallel_supervised(&p, &[("x", Value::i64_arr(data.clone()))], &opts)
+                .unwrap_err();
+            match err {
+                ExecError::Deadline { partial, .. } => {
+                    assert_eq!(partial.chunk_executions, 0, "{partial:?}");
+                }
+                other => panic!("expected Deadline, got {other:?}"),
             }
-            other => panic!("expected Deadline, got {other:?}"),
+            assert_eq!(sup.stats().deadline_aborts, 1);
         }
-        assert_eq!(sup.stats().deadline_aborts, 1);
     }
 
     #[test]

@@ -153,3 +153,66 @@ fn gibbs_replicated_nested_parallel_structure() {
     assert_eq!(marginals.len(), 80);
     assert!(marginals.iter().all(|m| (0.0..=1.0).contains(m)));
 }
+
+#[test]
+fn effectful_extern_loop_runs_once_per_element_in_index_order() {
+    use dmll::frontend::Stage;
+    use dmll::interp::{eval_parallel_supervised, ChunkFaults, ExecReport, ParallelOptions, Value};
+    use dmll::ir::{LayoutHint, Ty};
+    use dmll::runtime::{SpeculationPolicy, Supervisor, SupervisorPolicy};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    // `x.map(e => tick(e)).sum`: the kernel compiler rejects the effectful
+    // `tick`, so the loop runs on the tree-walker, which must call it once
+    // per element, in index order, on any thread count and under any
+    // supervision.
+    let mut st = Stage::new();
+    let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
+    let ticked = st.map(&x, |st, e| {
+        st.extern_call("tick", &[e], Ty::I64, true, true)
+    });
+    let total = st.sum(&ticked);
+    let p = st.finish(&total);
+    let n = 4000i64;
+    let inputs = [("x", Value::i64_arr((0..n).collect()))];
+    let run = |opts: ParallelOptions| -> (Value, ExecReport, Vec<i64>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let rec = log.clone();
+        let opts = opts.with_extern("tick", move |args| {
+            rec.lock().unwrap().push(args[0].as_i64().unwrap());
+            Ok(args[0].clone())
+        });
+        let (value, report) = eval_parallel_supervised(&p, &inputs, &opts).unwrap();
+        let calls = log.lock().unwrap().clone();
+        (value, report, calls)
+    };
+
+    let (reference, _, _) = run(ParallelOptions::new(2).tree_walk_only());
+    let straggler = SupervisorPolicy {
+        speculation: SpeculationPolicy {
+            enabled: true,
+            min_samples: 1,
+            percentile: 50.0,
+            multiplier: 1.5,
+            floor: Duration::from_micros(50),
+        },
+        ..SupervisorPolicy::default()
+    };
+    for opts in [
+        ParallelOptions::new(2),
+        ParallelOptions::new(2)
+            .with_faults(ChunkFaults::default().and_delay(0, Duration::from_millis(300)))
+            .supervised(Supervisor::new(straggler)),
+    ] {
+        let (value, report, calls) = run(opts);
+        assert_eq!(calls.len() as i64, n, "one call per element: {report:?}");
+        assert!(
+            calls.windows(2).all(|w| w[0] < w[1]),
+            "calls in strictly increasing index order"
+        );
+        assert_eq!(value, reference);
+        assert_eq!(report.treewalk_loops, 1, "{report:?}");
+        assert_eq!(report.speculative_tasks, 0, "{report:?}");
+    }
+}
