@@ -8,8 +8,8 @@
 //! lineage — gated on bit-identity with the single-node batched tier and on
 //! every cluster loop reporting a kernel tier (none tree-walked), and
 //! writes `BENCH_cluster.json`. `--smoke` shrinks the measured inputs to
-//! CI size; `--threads N` and `--nodes a,b` set the task-plan width and
-//! the node counts swept.
+//! CI size and writes `BENCH_cluster.smoke.json` instead; `--threads N`
+//! and `--nodes a,b` set the task-plan width and the node counts swept.
 
 use dmll_bench::{cluster, experiments, render};
 
@@ -69,8 +69,8 @@ fn run_measured(args: MeasuredArgs) -> ! {
     let rows = cluster::measured_cluster(scale, args.threads, &args.nodes);
     print!("{}", cluster::render(&rows));
     let json = cluster::to_json(&rows, scale, args.threads);
-    let path = "BENCH_cluster.json";
-    std::fs::write(path, &json).expect("write cluster report");
+    let path = dmll_bench::result_path("cluster", args.smoke);
+    std::fs::write(&path, &json).expect("write cluster report");
     println!("wrote {path}");
     // This process ran nothing but the cluster between the counter reads,
     // so a tree-walked element is the cluster's own.

@@ -1,6 +1,6 @@
 //! Measured execution-tier comparison: batched kernels vs scalar bytecode
 //! vs the tree-walking interpreter on real data, emitting
-//! `BENCH_kernels.json`.
+//! `BENCH_kernels.json` (`BENCH_kernels.smoke.json` with `--smoke`).
 //!
 //! Usage: `kernels_tier [--smoke] [--threads N] [--regions R] [--no-fuse]
 //! [--native] [--expect-no-compiler]`.
@@ -9,7 +9,8 @@
 //! additionally enables the sharded, locality-aware data plane: the
 //! batched tier runs region-aware (plan-driven placement, same-region
 //! stealing, one-pass stitch merge), and a blind-vs-sharded locality
-//! comparison is measured and written to `BENCH_locality.json`.
+//! comparison is measured and written to `BENCH_locality.json` (or
+//! `BENCH_locality.smoke.json`).
 //! `--no-fuse` pins the runtime fuse-then-compile hook off, so the
 //! batched tier runs the loops exactly as staged (the unfused baseline
 //! configuration). `--native` adds a phase on the native (compiled C)
@@ -98,8 +99,8 @@ fn main() {
     print!("{}", render::kernels(&rows));
 
     let json = tiers::to_json(&rows);
-    let path = "BENCH_kernels.json";
-    std::fs::write(path, &json).expect("write BENCH_kernels.json");
+    let path = dmll_bench::result_path("kernels", args.smoke);
+    std::fs::write(&path, &json).expect("write kernels report");
     println!("\nwrote {path}");
 
     let mut failed = false;
@@ -159,8 +160,8 @@ fn main() {
         let lrows = locality::locality_comparison(scale, args.threads, args.regions);
         print!("\n{}", locality::render(&lrows));
         let ljson = locality::to_json(&lrows);
-        let lpath = "BENCH_locality.json";
-        std::fs::write(lpath, &ljson).expect("write BENCH_locality.json");
+        let lpath = dmll_bench::result_path("locality", args.smoke);
+        std::fs::write(&lpath, &ljson).expect("write locality report");
         println!("\nwrote {lpath}");
         for r in &lrows {
             if !r.identical {
@@ -250,10 +251,23 @@ fn check_native(r: &tiers::TierRow, args: &Args) -> bool {
         let _ = secs;
         return failed;
     }
-    // With a compiler present: the acceptance targets must either run on
-    // the native tier or decline with a typed, counted reason — silent
-    // non-participation is the failure mode being policed. The 1.5x win is
-    // demanded at full scale only; the smoke size has no wall-clock gate.
+    // With a compiler present, a kernel the emitter produced must also
+    // compile and load: a toolchain that rejects it (a bad flag, a missing
+    // library) is a broken native tier, not a decline. A listed reason was
+    // recorded at least once, even if its per-run count rounds to zero.
+    let broken: Vec<_> = r
+        .native_fallback
+        .iter()
+        .filter(|(reason, _)| reason == "compile_failed" || reason == "load_failed")
+        .collect();
+    if !broken.is_empty() {
+        eprintln!("FAIL: {} native kernels failed to build: {broken:?}", r.app);
+        return true;
+    }
+    // The acceptance targets must either run on the native tier or decline
+    // with a typed, counted reason — silent non-participation is the
+    // failure mode being policed. The 1.5x win is demanded at full scale
+    // only; the smoke size has no wall-clock gate.
     let declined = !r.native_fallback.is_empty();
     if (r.app == "Gene" || r.app == "Q1") && !declined {
         if r.stats.native_loops == 0 {

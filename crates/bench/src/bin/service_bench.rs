@@ -1,5 +1,6 @@
 //! Seeded open-/closed-loop traffic against the multi-tenant query
-//! service, emitting `BENCH_service_t{N}.json` (one file per `--threads N`).
+//! service, emitting `BENCH_service_t{N}.json` (one file per `--threads N`;
+//! `BENCH_service_t{N}.smoke.json` with `--smoke`).
 //!
 //! Usage: `service_bench [--smoke] [--threads N] [--seed S]`. Measures an
 //! uncontended closed-loop baseline, then an open-loop overload storm
@@ -59,7 +60,7 @@ fn main() {
     print!("{}", service::render(&report));
 
     let json = service::to_json(&report);
-    let path = format!("BENCH_service_t{threads}.json");
+    let path = dmll_bench::result_path(&format!("service_t{threads}"), smoke);
     std::fs::write(&path, &json).expect("write service report");
     println!("wrote {path}");
 

@@ -33,6 +33,11 @@
 //! * `locality` (via `kernels_tier --regions R`) — measured blind-vs-
 //!   sharded comparison of the locality-aware partitioned data plane,
 //!   emitting `BENCH_locality.json`.
+//!
+//! With `--smoke`, `kernels_tier`, `fig8_cluster --measured` and
+//! `service_bench` write `BENCH_<name>.smoke.json` instead (see
+//! [`result_path`]), so a CI-size run never overwrites the checked-in
+//! full-scale results.
 
 pub mod chaos;
 pub mod cluster;
@@ -42,6 +47,17 @@ pub mod render;
 pub mod service;
 pub mod tiers;
 pub mod workloads;
+
+/// Where a bench binary writes its `BENCH_<name>` document: the
+/// checked-in `BENCH_<name>.json` for a full-scale run, the git-ignored
+/// `BENCH_<name>.smoke.json` for a `--smoke` run.
+pub fn result_path(name: &str, smoke: bool) -> String {
+    if smoke {
+        format!("BENCH_{name}.smoke.json")
+    } else {
+        format!("BENCH_{name}.json")
+    }
+}
 
 /// Lib tests that reset the process-global tier counters, or diff them
 /// around a run, hold this lock so a concurrently running test cannot

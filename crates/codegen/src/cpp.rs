@@ -258,13 +258,23 @@ fn emit_reduce_update(
 
 /// Fixed prelude of every emitted kernel translation unit.
 ///
+/// It includes only C headers and declares, with C linkage, every libm
+/// function [`native_math_fn`] may emit. `<math.h>` is deliberately absent:
+/// in C++ mode it pulls in `<cmath>` and most of libstdc++, which the
+/// compiler would parse on every kernel compile. The declared names are
+/// still compiler builtins, so the generated code is the same.
+///
 /// The helpers pin the interpreter's exact scalar semantics: integer
 /// add/sub/mul wrap (via unsigned arithmetic — signed overflow is UB in
-/// C++), float constants are reconstructed bit-exactly from their IEEE
-/// pattern, and float→int casts saturate like Rust's `as`.
+/// C++), float add/mul return the first operand's NaN whatever operand
+/// order the compiler picks, float constants are reconstructed bit-exactly
+/// from their IEEE pattern, and float→int casts saturate like Rust's `as`.
 const KERNEL_PREAMBLE: &str = r#"#include <stdint.h>
-#include <math.h>
 #include <string.h>
+
+extern "C" {
+double sqrt(double); double fabs(double); double floor(double); double ceil(double);
+}
 
 typedef struct { const void* ptr; int64_t len; } DmllArr;
 typedef struct { void* out; int64_t* keys; uint32_t* table; int64_t table_cap;
@@ -279,6 +289,18 @@ static inline int64_t dmll_subi(int64_t a, int64_t b) {
 }
 static inline int64_t dmll_muli(int64_t a, int64_t b) {
   return (int64_t)((uint64_t)a * (uint64_t)b);
+}
+/* IEEE 754 leaves open which NaN a two-NaN add or multiply returns. The
+   interpreter returns its first operand's, quieted (the x86 rule), but a
+   C compiler may commute the operands, so the order is pinned here. */
+static inline double dmll_first_nan(double a) {
+  uint64_t b; memcpy(&b, &a, 8); return dmll_bits(b | 0x0008000000000000ULL);
+}
+static inline double dmll_addf(double a, double b) {
+  return a != a ? dmll_first_nan(a) : a + b;
+}
+static inline double dmll_mulf(double a, double b) {
+  return a != a ? dmll_first_nan(a) : a * b;
 }
 static inline int64_t dmll_f2i(double x) {
   if (x != x) return 0;
@@ -656,16 +678,7 @@ fn emit_native_stmt(
             if at != NTy::F {
                 return Err(NativeIneligible::UnsupportedOp("math on non-float"));
             }
-            // Only correctly-rounded (sqrt) or exact (fabs/floor/ceil)
-            // functions are bit-identical across libm and Rust; the
-            // transcendentals are not guaranteed to match.
-            let f = match f {
-                MathFn::Sqrt => "sqrt",
-                MathFn::Abs => "fabs",
-                MathFn::Floor => "floor",
-                MathFn::Ceil => "ceil",
-                _ => return Err(NativeIneligible::TranscendentalMath),
-            };
+            let f = native_math_fn(*f).ok_or(NativeIneligible::TranscendentalMath)?;
             (format!("{f}({a})"), NTy::F)
         }
         Def::Cast { to, value } => {
@@ -717,6 +730,20 @@ fn emit_native_stmt(
     Ok(())
 }
 
+/// The libm function a math op lowers to, each declared in
+/// [`KERNEL_PREAMBLE`]. Only correctly-rounded (`sqrt`) or exact
+/// (`fabs`/`floor`/`ceil`) functions are bit-identical across libm and
+/// Rust; the transcendentals are not guaranteed to match and decline.
+fn native_math_fn(f: MathFn) -> Option<&'static str> {
+    match f {
+        MathFn::Sqrt => Some("sqrt"),
+        MathFn::Abs => Some("fabs"),
+        MathFn::Floor => Some("floor"),
+        MathFn::Ceil => Some("ceil"),
+        MathFn::Exp | MathFn::Log | MathFn::Sin | MathFn::Cos | MathFn::Tanh => None,
+    }
+}
+
 /// Lower one primitive application, inserting fault guards (`return 1`)
 /// wherever the interpreter would raise an error or panic: division and
 /// remainder by zero, `i64::MIN / -1`, and `-i64::MIN`.
@@ -745,14 +772,13 @@ fn native_prim(
                     };
                     (format!("{f}({}, {})", ops[0].0, ops[1].0), NTy::I)
                 }
-                NTy::F => {
-                    let c = match op {
-                        PrimOp::Add => "+",
-                        PrimOp::Sub => "-",
-                        _ => "*",
-                    };
-                    (format!("({} {c} {})", ops[0].0, ops[1].0), NTy::F)
-                }
+                // Subtraction does not commute, so only `+` and `*` need
+                // their NaN operand order pinned.
+                NTy::F => match op {
+                    PrimOp::Add => (format!("dmll_addf({}, {})", ops[0].0, ops[1].0), NTy::F),
+                    PrimOp::Sub => (format!("({} - {})", ops[0].0, ops[1].0), NTy::F),
+                    _ => (format!("dmll_mulf({}, {})", ops[0].0, ops[1].0), NTy::F),
+                },
                 _ => return Err(bad),
             }
         }
@@ -995,6 +1021,23 @@ mod tests {
         let err = emit_kernel_entry(&ml, &[(p.inputs[0].sym, NativeVarTy::ArrF64)], "k")
             .expect_err("exp declines");
         assert_eq!(err.key(), "transcendental_math");
+    }
+
+    #[test]
+    fn preamble_declares_every_lowered_math_fn() {
+        use dmll_core::MathFn::*;
+        let mut lowered = 0;
+        for f in [Exp, Log, Sqrt, Abs, Sin, Cos, Tanh, Floor, Ceil] {
+            if let Some(name) = native_math_fn(f) {
+                lowered += 1;
+                assert!(
+                    KERNEL_PREAMBLE.contains(&format!("double {name}(double);")),
+                    "{name} is emitted but not declared:\n{KERNEL_PREAMBLE}"
+                );
+            }
+        }
+        assert_eq!(lowered, 4);
+        assert!(!KERNEL_PREAMBLE.contains("<math.h>"), "{KERNEL_PREAMBLE}");
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! other half of the tier — finding a compiler, driving it, loading the
 //! resulting `.so`, and keeping the handle alive for the kernel cache.
 //!
+//! Compiles are kept cheap because a cold run pays for every one of them.
+//! The emitted unit is C in all but name: it includes only `<stdint.h>`
+//! and `<string.h>` and declares the few libm functions it calls, so the
+//! compiler never parses libstdc++ headers. The link names only libm and
+//! libc (see [`compile_and_load`]).
+//!
 //! Everything here degrades, never fails: a missing compiler, a failed
 //! compile, an unloadable object, or an unsupported platform each produce a
 //! typed [`NativeIneligible`] that the interpreter counts and then falls
@@ -225,6 +231,15 @@ fn is_executable(p: &Path) -> bool {
 /// fused multiply-add (which would change float bit patterns vs the
 /// interpreter) and there is deliberately no `-ffast-math`.
 ///
+/// The source is compiled as C++ (for `extern "C"` and `bool`) but uses no
+/// C++ runtime, so it is linked with `-nostdlib -lm -lc`: no libstdc++,
+/// libgcc_s or crt start-up objects, only the two libraries a kernel can
+/// reference — libm for `sqrt`'s `errno` slow path and `floor`/`ceil`,
+/// libc for the `memset`/`memcpy` the compiler may emit for a fill or copy
+/// loop. `dlopen` with `RTLD_NOW` then resolves every symbol up front, so
+/// a kernel needing anything else fails to load here, typed, instead of
+/// at call time.
+///
 /// # Errors
 ///
 /// Typed [`NativeIneligible`] for every failure mode; never panics on bad
@@ -261,16 +276,11 @@ fn compile_and_load_unix(source: &str, entry_name: &str) -> Result<NativeLib, Na
         return Err(NativeIneligible::CompileFailed(format!("write source: {e}")));
     }
     let out = Command::new(&compiler)
-        .arg("-O2")
-        .arg("-fPIC")
-        .arg("-shared")
-        .arg("-x")
-        .arg("c++")
-        .arg("-ffp-contract=off")
+        .args(["-O2", "-fPIC", "-shared", "-nostdlib", "-x", "c++", "-ffp-contract=off"])
         .arg(&src)
         .arg("-o")
         .arg(&so)
-        .arg("-lm")
+        .args(["-lm", "-lc"])
         .output();
     let out = match out {
         Ok(o) => o,
@@ -399,6 +409,129 @@ extern "C" int32_t dmll_test_entry(int64_t start, int64_t end, const int64_t* si
         assert_eq!(rc, 0);
         assert_eq!(outs[0].ival, 45);
         assert_eq!(outs[0].count, 10);
+    }
+
+    /// Emit the single loop `body` stages over an `f64` input column `x`.
+    fn emit_over_x(
+        body: impl FnOnce(&mut dmll_frontend::Stage, &dmll_frontend::Val) -> dmll_frontend::Val,
+    ) -> String {
+        use dmll_core::{Def, LayoutHint, Ty};
+        let mut st = dmll_frontend::Stage::new();
+        let x = st.input("x", Ty::arr(Ty::F64), LayoutHint::Local);
+        let out = body(&mut st, &x);
+        let p = st.finish(&out);
+        let ml = p
+            .body
+            .stmts
+            .iter()
+            .find_map(|s| match &s.def {
+                Def::Loop(ml) => Some(ml.clone()),
+                _ => None,
+            })
+            .expect("program has a loop");
+        crate::cpp::emit_kernel_entry(&ml, &[(p.inputs[0].sym, NativeVarTy::ArrF64)], "dmll_k")
+            .expect("eligible")
+    }
+
+    /// Run a one-`Collect` kernel over `data`, returning the collected
+    /// column.
+    fn run_collect(lib: &NativeLib, data: &[f64]) -> Vec<f64> {
+        let arrs = [NativeArr {
+            ptr: data.as_ptr().cast(),
+            len: data.len() as i64,
+        }];
+        let mut buf: Vec<f64> = Vec::with_capacity(data.len());
+        let mut outs = [NativeGenOut {
+            out: buf.as_mut_ptr().cast(),
+            keys: std::ptr::null_mut(),
+            table: std::ptr::null_mut(),
+            table_cap: 0,
+            count: 0,
+            ival: 0,
+            fval: 0.0,
+            bval: 0,
+        }];
+        // SAFETY: the kernel reads `data.len()` elements of `arrs[0]` and
+        // writes at most that many into `buf`, whose capacity it is.
+        let rc = unsafe {
+            (lib.entry())(
+                0,
+                data.len() as i64,
+                std::ptr::null(),
+                std::ptr::null(),
+                std::ptr::null(),
+                arrs.as_ptr(),
+                outs.as_mut_ptr(),
+            )
+        };
+        assert_eq!(rc, 0);
+        assert_eq!(outs[0].count, data.len() as i64);
+        // SAFETY: the kernel reported `count` initialised elements, checked
+        // just above to be the whole capacity.
+        unsafe { buf.set_len(data.len()) };
+        buf
+    }
+
+    /// The emitted unit must not reach libstdc++: its headers are what a
+    /// kernel compile would otherwise spend its time parsing. And with the
+    /// bare link, kernels using every lowered libm function, and a fill
+    /// loop the compiler may turn into `memset`, must still load with every
+    /// symbol resolved.
+    #[test]
+    fn kernel_unit_is_c_only_and_loads_with_a_bare_link() {
+        use dmll_core::MathFn::{Abs, Ceil, Floor, Sqrt};
+        use std::io::Write;
+        use std::process::Stdio;
+        let Some(cxx) = find_compiler() else {
+            return;
+        };
+        let math = emit_over_x(|st, x| {
+            st.map(x, |st, e| {
+                let a = st.math(Sqrt, e);
+                let b = st.math(Abs, e);
+                let c = st.math(Floor, e);
+                let d = st.math(Ceil, e);
+                let ab = st.add(&a, &b);
+                let cd = st.add(&c, &d);
+                st.add(&ab, &cd)
+            })
+        });
+        for f in ["sqrt", "fabs", "floor", "ceil"] {
+            assert!(math.contains(&format!("= {f}(")), "{f} not called:\n{math}");
+        }
+
+        let mut child = Command::new(&cxx)
+            .args(["-E", "-x", "c++", "-"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn preprocessor");
+        child
+            .stdin
+            .take()
+            .expect("stdin")
+            .write_all(math.as_bytes())
+            .expect("write source");
+        let pre = child.wait_with_output().expect("preprocess");
+        assert!(pre.status.success(), "{}", String::from_utf8_lossy(&pre.stderr));
+        let pre = String::from_utf8_lossy(&pre.stdout);
+        assert!(!pre.contains("namespace std"), "the kernel unit parses C++ library headers");
+
+        let data = [4.0, -1.0, -0.0, 2.5, -2.5, f64::NAN, f64::INFINITY, 1e300];
+        let lib = compile_and_load(&math, "dmll_k").expect("math kernel loads");
+        for (x, got) in data.iter().zip(run_collect(&lib, &data)) {
+            let want = (x.sqrt() + x.abs()) + (x.floor() + x.ceil());
+            assert_eq!(got.to_bits(), want.to_bits(), "x = {x}");
+        }
+
+        let fill = emit_over_x(|st, x| {
+            let n = st.len(x);
+            st.collect(&n, |st, _i| st.lit_f(0.0))
+        });
+        let lib = compile_and_load(&fill, "dmll_k").expect("fill kernel loads");
+        let data = [1.0; 4096];
+        assert!(run_collect(&lib, &data).iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! assertions still hold (they compare against the batched tier, which is
 //! what the fallback runs).
 
-use dmll_core::{LayoutHint, Ty};
+use std::sync::{Mutex, MutexGuard};
+
+use dmll_core::{LayoutHint, MathFn, Ty};
 use dmll_frontend::{Stage, Val};
 use dmll_interp::{
     eval_parallel_report, eval_tree_walk, native_fallback_reasons, tier_totals, ChunkFaults,
@@ -18,6 +20,13 @@ use dmll_interp::{
 
 fn have_compiler() -> bool {
     dmll_codegen::find_compiler().is_some()
+}
+
+/// The tier counters are process-wide; tests that read deltas of them
+/// hold this lock so a neighbour's fallbacks cannot land in their window.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A Gene-shaped program: per-key counts and sums (BucketReduce with a
@@ -81,6 +90,7 @@ fn gene_inputs(size: i64) -> [(&'static str, Value); 2] {
 /// loop counter must grow; without one the decline must be typed.
 #[test]
 fn native_sequential_matches_batched_and_walker() {
+    let _guard = serial();
     let p = gene_like_program();
     let inputs = gene_inputs(3000);
 
@@ -115,6 +125,7 @@ fn native_sequential_matches_batched_and_walker() {
 /// and the sequential tree-walker bit-for-bit.
 #[test]
 fn native_parallel_with_faults_is_bit_identical() {
+    let _guard = serial();
     let p = gene_like_program();
     let inputs = gene_inputs(4096);
 
@@ -140,6 +151,7 @@ fn native_parallel_with_faults_is_bit_identical() {
 /// back to the batched tier and reproduce the interpreter's exact error.
 #[test]
 fn native_runtime_fault_reproduces_exact_error() {
+    let _guard = serial();
     let mut st = Stage::new();
     let q = st.input("q", Ty::arr(Ty::I64), LayoutHint::Partitioned);
     let mapped = st.map(&q, |st, e: &Val| {
@@ -180,6 +192,7 @@ fn native_runtime_fault_reproduces_exact_error() {
 /// bit-identical across tiers — the div guard only fires on real faults.
 #[test]
 fn native_guarded_division_matches_when_fault_free() {
+    let _guard = serial();
     let mut st = Stage::new();
     let q = st.input("q", Ty::arr(Ty::I64), LayoutHint::Partitioned);
     let mapped = st.map(&q, |st, e: &Val| {
@@ -202,6 +215,7 @@ fn native_guarded_division_matches_when_fault_free() {
 /// with a stable typed key and still produce identical results.
 #[test]
 fn native_ineligible_loop_declines_with_typed_reason() {
+    let _guard = serial();
     let mut st = Stage::new();
     let x = st.input("x", Ty::arr(Ty::I64), LayoutHint::Partitioned);
     let g = st.group_by(&x, |st, e| {
@@ -230,4 +244,95 @@ fn native_ineligible_loop_declines_with_typed_reason() {
         "{:?}",
         native_fallback_reasons()
     );
+}
+
+/// The four libm functions the native tier lowers (`sqrt`, `fabs`,
+/// `floor`, `ceil`), and float adds and multiplies of their results, over
+/// the inputs where libm and Rust could part ways:
+/// signed zeros, NaNs of both signs, infinities, negatives (`sqrt`'s
+/// domain error), halves and values past 2^52. Every output must match the
+/// batched tier and the tree-walker bit for bit, and the loop must really
+/// run native, not decline.
+#[test]
+fn native_libm_ops_are_bit_identical() {
+    let _guard = serial();
+    let mut st = Stage::new();
+    let x = st.input("x", Ty::arr(Ty::F64), LayoutHint::Partitioned);
+    let roots = st.map(&x, |st, e: &Val| {
+        let r = st.math(MathFn::Sqrt, e);
+        let a = st.math(MathFn::Abs, e);
+        st.add(&r, &a)
+    });
+    let floors = st.map(&x, |st, e: &Val| st.math(MathFn::Floor, e));
+    let ceils = st.map(&x, |st, e: &Val| st.math(MathFn::Ceil, e));
+    // At -NaN both operands are NaNs of opposite sign: GCC commutes the
+    // sum and the product, so these catch an unpinned NaN order.
+    let products = st.map(&x, |st, e: &Val| {
+        let r = st.math(MathFn::Sqrt, e);
+        let a = st.math(MathFn::Abs, e);
+        st.mul(&r, &a)
+    });
+    let out = st.tuple(&[&roots, &floors, &ceils, &products]);
+    let p = st.finish(&out);
+
+    let edges = [
+        -1.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.5,
+        4_503_599_627_370_495.5, // 2^52 - 0.5: the largest double with a fraction
+        4_503_599_627_370_497.0, // past 2^52: every double is an integer
+        1e300,
+    ];
+    // Repeated past one batched block so the loops take the kernel path.
+    let data: Vec<f64> = edges.iter().copied().cycle().take(3000).collect();
+    let inputs = [("x", Value::f64_arr(data.clone()))];
+
+    let before = tier_totals();
+    let (native, _) = Interp::new(&p)
+        .with_native()
+        .run_report(&inputs)
+        .expect("native-enabled run");
+    let after = tier_totals();
+    if have_compiler() {
+        assert!(
+            after.native_loops > before.native_loops,
+            "native tier never ran; fallbacks: {:?}",
+            native_fallback_reasons()
+        );
+        assert_eq!(
+            after.native_fallbacks,
+            before.native_fallbacks,
+            "libm kernels must not decline: {:?}",
+            native_fallback_reasons()
+        );
+    }
+
+    let (batched, _) = Interp::new(&p).run_report(&inputs).expect("batched run");
+    let walked = eval_tree_walk(&p, &inputs).expect("tree-walk run");
+    let columns = |v: &Value| -> Vec<Vec<f64>> {
+        let Value::Tuple(cols) = v else {
+            panic!("tuple result expected: {v:?}")
+        };
+        cols.iter().map(|c| c.to_f64_vec().expect("f64 column")).collect()
+    };
+    let native = columns(&native);
+    assert_eq!(native.len(), 4);
+    for (tier, other) in [("batched", columns(&batched)), ("tree-walker", columns(&walked))] {
+        for (col, (n, o)) in ["sqrt+fabs", "floor", "ceil", "sqrt*fabs"].iter().zip(native.iter().zip(&other)) {
+            assert_eq!(n.len(), data.len(), "{col}");
+            for ((x, a), b) in data.iter().zip(n).zip(o) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{col}({x:e}): native {:016x} vs {tier} {:016x}",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
+    }
 }
